@@ -12,9 +12,10 @@ import argparse
 import sys
 from typing import Optional
 
-from .pree import Pree, PreeError, check_axiom, load_pree, validate_pree
+from .pree import Pree, PreeError, load_pree, validate_pree
 from .words import ReductionTrace, apply_trace, parse_word, render_word, strongly_reduce
 from .group import (
+    axiom_status,
     axioms_hold,
     bfs_identity_oracle,
     cayley_ball,
@@ -107,8 +108,7 @@ def cmd_axioms(args) -> int:
     p = _load(args.pree)
     lines = []
     code = 0
-    for n in (4, 5):
-        w = check_axiom(p, n)
+    for n, w in zip((4, 5), axiom_status(p)):
         if args.format == "records":
             lines.append("axiom%d\t%s" % (n, "pass" if w is None else "fail"))
             if w is not None:
@@ -334,8 +334,7 @@ def cmd_verify(args) -> int:
     rows: list[tuple[str, Optional[bool], str]] = []
     vrep = validate_pree(p)
     rows.append(("pree-structure", vrep.ok, "" if vrep.ok else vrep.problems[0]))
-    w4 = check_axiom(p, 4)
-    w5 = check_axiom(p, 5)
+    w4, w5 = axiom_status(p)
     rows.append(("axiom-4-cycles", w4 is None, "" if w4 is None else w4.render(p)))
     rows.append(("axiom-5-cycles", w5 is None, "" if w5 is None else w5.render(p)))
     axioms_ok = vrep.ok and w4 is None and w5 is None

@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Optional, Union
 
 from .pree import Pree, PreeError
 from .words import Word, render_word
-from .group import cayley_ball, equals_identity
+# equals_identity is no longer called here; it stays importable as fsa.equals_identity
+from .group import cayley_ball, contraction_solver, equals_identity  # noqa: F401
 
 PAD = -2
 
@@ -411,6 +412,7 @@ def build_combing_table(p: Pree, variant: str = "forward") -> CombingTable:
     if variant not in ("forward", "literal"):
         raise PreeError("unknown combing variant %r" % variant)
     letters = p.nonidentity()
+    is_identity = contraction_solver(p)
     sprime: dict[tuple[int, int], frozenset] = {}
     for x in letters:
         for y in letters:
@@ -419,7 +421,7 @@ def build_combing_table(p: Pree, variant: str = "forward") -> CombingTable:
                 for c in letters:
                     if p.table[b][c] != -1:
                         continue
-                    if equals_identity(p, (a, b, c, p.inv[y], p.inv[x])):
+                    if is_identity((a, b, c, p.inv[y], p.inv[x])):
                         hits.add(c)
             sprime[(x, y)] = frozenset(hits)
     forbidden = set()

@@ -15,31 +15,23 @@ import heapq
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .pree import Pree, PreeError, VerificationReport, check_axiom
+# check_axiom is no longer called here; it stays importable as group.check_axiom
+from .pree import UNDEF, Pree, PreeError, VerificationReport, check_axiom  # noqa: F401
 from .words import (
     Word,
     inverse_word,
     is_geodesic_word,
+    reduce_once,
     render_word,
     strongly_reduce,
 )
 
-# Caches are keyed by the pree itself (frozen, hashable); weak keys so
-# throwaway tables do not pile up.
-_axiom_cache: "weakref.WeakKeyDictionary[Pree, tuple[object, object]]" = (
-    weakref.WeakKeyDictionary()
-)
-
 
 def axiom_status(p: Pree):
-    """Cached (witness4, witness5) pair; None entries mean the axiom holds."""
-    got = _axiom_cache.get(p)
-    if got is None:
-        got = (check_axiom(p, 4), check_axiom(p, 5))
-        _axiom_cache[p] = got
-    return got
+    """The table's (witness4, witness5) pair; None entries mean the axiom holds."""
+    return p.axiom_witnesses
 
 
 def axioms_hold(p: Pree) -> bool:
@@ -138,6 +130,8 @@ class AbelianObstruction:
         return self.lattice_contains(self.vector(w))
 
 
+# Caches keyed by the pree itself (frozen, hashable); weak keys so
+# throwaway tables do not pile up.
 _obstruction_cache: "weakref.WeakKeyDictionary[Pree, AbelianObstruction]" = (
     weakref.WeakKeyDictionary()
 )
@@ -210,8 +204,8 @@ def bfs_identity_oracle(
 def equals_identity(p: Pree, w: Word) -> bool:
     """Dehn-style decision: reduce strongly, compare with the word 1.
 
-    Only valid when the short-cycle axioms hold, which is checked once
-    per pree and cached.
+    Only valid when the short-cycle axioms hold, which each table
+    decides once (``Pree.axiom_witnesses``).
     """
     if len(w) == 0:
         raise PreeError("empty word")
@@ -222,6 +216,30 @@ def equals_identity(p: Pree, w: Word) -> bool:
         )
     reduced, _ = strongly_reduce(p, w)
     return reduced == (p.identity,)
+
+
+def contraction_solver(p: Pree) -> Callable[[Word], bool]:
+    """equals_identity for many words of at most five letters over one table.
+
+    strongly_reduce always contracts the leftmost defined pair first, so a
+    word with a defined adjacent pair gets exactly the solver's verdict on
+    its leftmost contraction.  The returned function follows contractions
+    down and calls equals_identity only on words without one.  Verdicts of
+    words up to four letters are memoised; no contraction of a word of at
+    most five letters yields a five-letter word, so those are not kept.
+    """
+    memo: dict[Word, bool] = {}
+
+    def solve(w: Word) -> bool:
+        verdict = memo.get(w)
+        if verdict is None:
+            got = reduce_once(p, w)
+            verdict = solve(got[0]) if got else equals_identity(p, w)
+            if len(w) < 5:
+                memo[w] = verdict
+        return verdict
+
+    return solve
 
 
 @dataclass
@@ -429,21 +447,27 @@ def verify_short_identities(p: Pree, oracle_bound: int = 8) -> VerificationRepor
     hold (the solver reduces by contractions and strips, so the
     adjacency assertion below is still independent of it); otherwise by
     the bounded oracle.
+
+    A word with a defined adjacent pair gets the solver's verdict on its
+    leftmost contraction, because strongly_reduce takes that contraction
+    first; contraction_solver uses this to run equals_identity only on
+    words without one.
     """
     r = VerificationReport("short-identity-reducibility")
     use_solver = axioms_hold(p)
+    solver_verdict = contraction_solver(p)
     checked = 0
     hits = 0
     for n in (4, 5):
         for w in itertools.product(p.elements(), repeat=n):
             checked += 1
             if use_solver:
-                if not equals_identity(p, w):
+                if not solver_verdict(w):
                     continue
             elif bfs_identity_oracle(p, w, length_bound=oracle_bound) is not True:
                 continue
             hits += 1
-            if all(p.table[w[i]][w[i + 1]] == -1 for i in range(n - 1)):
+            if all(p.table[w[i]][w[i + 1]] == UNDEF for i in range(n - 1)):
                 r.problem("irreducible identity word: " + render_word(p, w))
     r.note("words checked: %d, identity words found: %d" % (checked, hits))
     return r

@@ -17,17 +17,13 @@ downstream: for every cycle ``a_1 .. a_n`` (n = 4 or 5) whose quotients
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 UNDEF = -1
 
 
 class PreeError(Exception):
     """Malformed pree input or misuse of a pree operation."""
-
-
-class PresentationError(PreeError):
-    """A presentation forces inconsistent table entries."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +66,24 @@ class Pree:
 
     def elements(self) -> range:
         return range(len(self.names))
+
+    @property
+    def axiom_witnesses(self) -> tuple[Optional[AxiomWitness], Optional[AxiomWitness]]:
+        """(witness4, witness5) from check_axiom, searched once per table.
+
+        None entries mean the axiom holds.  The value is stored on the
+        instance outside the dataclass fields, so it takes no part in
+        equality or hashing.
+        """
+        try:
+            return self._axiom_witnesses
+        except AttributeError:
+            got = check_axiom(self, 4), check_axiom(self, 5)
+            # Not functools.cached_property: writing through __dict__ makes
+            # CPython 3.11 drop the instance's inline attribute values, and
+            # every later read of table or inv gets about 1.5x slower.
+            object.__setattr__(self, "_axiom_witnesses", got)
+            return got
 
     def nonidentity(self) -> list[int]:
         return [a for a in self.elements() if a != self.identity]
@@ -382,22 +396,31 @@ def check_axiom(p: Pree, n: int) -> Optional[AxiomWitness]:
     under rotation and traversal reversal (reversal inverts the
     quotients); a failure of that symmetry indicates a corrupt table and
     raises.
+
+    The search walks cycles in lexicographic order and skips a prefix as
+    soon as a quotient is undefined or the last two quotients have a
+    defined product.  Every completion of such a prefix is outside the
+    hypothesis or already satisfies the axiom, so only subtrees without a
+    counterexample are skipped and the first witness found is unchanged.
     """
     if n not in (4, 5):
         raise PreeError("cycle length must be 4 or 5, got %r" % n)
 
+    table, inv = p.table, p.inv
     size = p.size
     cycle = [0] * n
+    quots = [0] * n
 
     def extend(i: int) -> Optional[tuple[int, ...]]:
         if i == n:
-            quot = _cycle_fails(p, cycle)
-            return quot
+            return _cycle_fails(p, cycle)
         for a in range(size):
+            if i > 0:
+                q = table[inv[cycle[i - 1]]][a]
+                if q == UNDEF or (i > 1 and table[quots[i - 2]][q] != UNDEF):
+                    continue
+                quots[i - 1] = q
             cycle[i] = a
-            # prune: quotient into position i must be defined
-            if i > 0 and p.table[p.inv[cycle[i - 1]]][a] == UNDEF:
-                continue
             got = extend(i + 1)
             if got is not None:
                 return got
@@ -416,232 +439,3 @@ def check_axiom(p: Pree, n: int) -> Optional[AxiomWitness]:
     if _cycle_fails(p, rev) is None:
         raise PreeError("witness not reversal-closed: %s" % witness.render(p))
     return witness
-
-
-def _parse_relator_token(tok: str) -> tuple[str, bool]:
-    if tok.endswith("^-1"):
-        return tok[: -len("^-1")], True
-    return tok, False
-
-
-def pree_from_presentation(
-    generators: Iterable[str], relators: Iterable[str]
-) -> tuple[Pree, VerificationReport]:
-    """Turn a finite presentation into a pree, best effort.
-
-    Each relator is a whitespace-separated word over the generators; a
-    token ``x^-1`` denotes the inverse of ``x``.  Long relators are cut
-    down with fresh abbreviation letters until every relator is a
-    triangle, the triangle relators become table entries, and the table
-    is closed and repaired to satisfy the associative law where one side
-    forces the other.  Raises PresentationError when two distinct values
-    are forced onto one product.  The report records whether the result
-    satisfies the short-cycle axioms (it may not).
-    """
-    gens = list(generators)
-    if len(set(gens)) != len(gens):
-        raise PresentationError("duplicate generator")
-    for g in gens:
-        if not g or any(ch.isspace() for ch in g) or g == "1" or g.endswith("^-1"):
-            raise PresentationError("bad generator name %r" % g)
-
-    # Letters are kept as (base, inverted) pairs; a union-find over them
-    # absorbs the length-1 and length-2 relators before any products exist.
-    parent: dict[tuple[str, bool], tuple[str, bool]] = {}
-
-    def find(x: tuple[str, bool]) -> tuple[str, bool]:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x: tuple[str, bool], y: tuple[str, bool]) -> None:
-        # merging x with y also merges their inverses
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        parent[rx] = ry
-        ix, iy = (rx[0], not rx[1]), (ry[0], not ry[1])
-        union(ix, iy)
-
-    def mk(base: str, invflag: bool) -> tuple[str, bool]:
-        return find((base, invflag))
-
-    words: list[list[tuple[str, bool]]] = []
-    for rel in relators:
-        toks = rel.split() if isinstance(rel, str) else list(rel)
-        word = []
-        for t in toks:
-            base, invf = _parse_relator_token(t)
-            if base == "1":
-                continue
-            if base not in gens:
-                raise PresentationError("relator uses unknown generator %r" % base)
-            word.append((base, invf))
-        words.append(word)
-
-    fresh_count = 0
-
-    def fresh_name() -> str:
-        nonlocal fresh_count
-        while True:
-            fresh_count += 1
-            nm = "t%d" % fresh_count
-            if nm not in gens:
-                return nm
-
-    def cyclic_reduce(word: list[tuple[str, bool]]) -> list[tuple[str, bool]]:
-        w = [mk(*x) for x in word]
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i + 1 < len(w):
-                a, b = w[i], w[i + 1]
-                if find(a) == find((b[0], not b[1])):
-                    del w[i : i + 2]
-                    changed = True
-                else:
-                    i += 1
-            while len(w) >= 2 and find(w[0]) == find((w[-1][0], not w[-1][1])):
-                w = w[1:-1]
-                changed = True
-        return w
-
-    # Absorb short relators, then abbreviate the rest down to triangles.
-    triangles: list[tuple[tuple[str, bool], tuple[str, bool], tuple[str, bool]]] = []
-    pending = list(words)
-    known_abbrev: dict[tuple[tuple[str, bool], tuple[str, bool]], tuple[str, bool]] = {}
-    while pending:
-        w = cyclic_reduce(pending.pop(0))
-        if len(w) == 0:
-            continue
-        if len(w) == 1:
-            raise PresentationError("relator forces a generator equal to the identity")
-        if len(w) == 2:
-            # a b = 1, so b is the inverse of a
-            a, b = w
-            union((b[0], b[1]), (a[0], not a[1]))
-            continue
-        if len(w) == 3:
-            triangles.append((w[0], w[1], w[2]))
-            continue
-        key = (find(w[0]), find(w[1]))
-        if key in known_abbrev:
-            t = known_abbrev[key]
-        else:
-            t = (fresh_name(), False)
-            known_abbrev[key] = t
-            triangles.append((key[0], key[1], (t[0], not t[1])))
-        pending.insert(0, [t] + w[2:])
-
-    # Intern surviving letter classes as elements.
-    letters: list[tuple[str, bool]] = []
-    for g in gens:
-        for invf in (False, True):
-            rep = find((g, invf))
-            if rep not in letters:
-                letters.append(rep)
-    for k in range(1, fresh_count + 1):
-        for invf in (False, True):
-            rep = find(("t%d" % k, invf))
-            if rep not in letters:
-                letters.append(rep)
-
-    names = ["1"]
-    ids: dict[tuple[str, bool], int] = {}
-    for rep in letters:
-        nm = rep[0] + ("^-1" if rep[1] else "")
-        ids[rep] = len(names)
-        names.append(nm)
-    n = len(names)
-    one = 0
-    inv = [0] * n
-    for rep, i in ids.items():
-        j = ids.get(find((rep[0], not rep[1])))
-        if j is None:
-            raise PresentationError("incoherent inverse classes")
-        inv[i] = j
-        inv[j] = i
-
-    table = [[UNDEF] * n for _ in range(n)]
-
-    def lid(x: tuple[str, bool]) -> int:
-        return ids[find(x)]
-
-    def put(a: int, b: int, c: int) -> None:
-        old = table[a][b]
-        if old != UNDEF and old != c:
-            raise PresentationError(
-                "inconsistent products: %s * %s is both %s and %s"
-                % (names[a], names[b], names[old], names[c])
-            )
-        table[a][b] = c
-
-    for a in range(n):
-        put(one, a, a)
-        put(a, one, a)
-        put(a, inv[a], one)
-        put(inv[a], a, one)
-    for x, y, z in triangles:
-        # x y z = 1 reads as x*y = inv(z)
-        put(lid(x), lid(y), inv[lid(z)])
-
-    # Close and repair until stable.  One-sided associativity failures are
-    # repaired by adding the forced entry; two-sided disagreement raises.
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                c = table[a][b]
-                if c == UNDEF:
-                    continue
-                for x, y, z in closure_products(inv, a, b, c):
-                    old = table[x][y]
-                    if old == UNDEF:
-                        table[x][y] = z
-                        changed = True
-                    elif old != z:
-                        raise PresentationError(
-                            "closure clash: %s * %s is both %s and %s"
-                            % (names[x], names[y], names[old], names[z])
-                        )
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                if ab == UNDEF:
-                    continue
-                for c in range(n):
-                    bc = table[b][c]
-                    if bc == UNDEF:
-                        continue
-                    left = table[ab][c]
-                    right = table[a][bc]
-                    if left != UNDEF and right == UNDEF:
-                        table[a][bc] = left
-                        changed = True
-                    elif right != UNDEF and left == UNDEF:
-                        table[ab][c] = right
-                        changed = True
-                    elif left != UNDEF and left != right:
-                        raise PresentationError(
-                            "associativity clash at (%s,%s,%s)"
-                            % (names[a], names[b], names[c])
-                        )
-
-    p = Pree(
-        names=tuple(names),
-        identity=one,
-        inv=tuple(inv),
-        table=tuple(tuple(row) for row in table),
-    )
-    report = validate_pree(p)
-    report.name = "presentation-ingest"
-    for m in (4, 5):
-        w = check_axiom(p, m)
-        if w is None:
-            report.note("cycle axiom n=%d holds" % m)
-        else:
-            report.note("cycle axiom n=%d fails: %s" % (m, w.render(p)))
-    return p, report

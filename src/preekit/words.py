@@ -228,49 +228,8 @@ def strip_reduce_once(p: Pree, w: Word) -> Optional[tuple[Word, StripWitness]]:
 
 
 @dataclass(frozen=True)
-class Strip2Witness:
-    """A forced contraction followed by a strip, shortening by 2."""
-
-    start: int
-    top: tuple[int, ...]
-    first: int
-    tail: Optional[StripWitness]
-    output: tuple[int, ...]
-
-
-def strip2_reduce_once(p: Pree, w: Word) -> Optional[tuple[Word, Strip2Witness]]:
-    """Diagnostic: replace n letters by n-2 via a degree-2 leading corner.
-
-    The first two letters of the matched subword must contract; the
-    contracted letter then heads a strip over the rest.  Not used by
-    strongly_reduce.
-    """
-    m = len(w)
-    for start in range(m - 2):
-        for n in range(3, m - start + 1):
-            top = w[start : start + n]
-            d0 = p.product(top[0], top[1])
-            if d0 is None:
-                continue
-            if n == 3:
-                c = p.product(d0, top[2])
-                if c is None:
-                    continue
-                wit = Strip2Witness(start=start, top=top, first=d0, tail=None, output=(c,))
-            else:
-                rest = (d0,) + top[2:]
-                got = _strip_dp(p, rest)
-                if got is None:
-                    continue
-                tail = StripWitness(start=0, top=rest, diagonals=got[0], output=got[1])
-                wit = Strip2Witness(start=start, top=top, first=d0, tail=tail, output=got[1])
-            return w[:start] + wit.output + w[start + n :], wit
-    return None
-
-
-@dataclass(frozen=True)
 class TraceStep:
-    kind: str  # "simple" | "strip" | "strip2"
+    kind: str  # "simple" | "strip"
     position: int
     witness: object = None
 
@@ -295,11 +254,6 @@ def apply_trace(p: Pree, w: Word, trace: ReductionTrace) -> Word:
                 raise PreeError("trace replay: strip top mismatch at %d" % i)
             wit.validate(p)
             w = w[:i] + wit.output + w[i + wit.top_length :]
-        elif step.kind == "strip2":
-            wit = step.witness
-            if w[i : i + len(wit.top)] != wit.top:
-                raise PreeError("trace replay: strip2 top mismatch at %d" % i)
-            w = w[:i] + wit.output + w[i + len(wit.top) :]
         else:
             raise PreeError("trace replay: unknown step kind %r" % step.kind)
     return w

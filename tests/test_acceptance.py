@@ -261,7 +261,8 @@ def test_c11_automaton_algebra_random(capsys):
             [s for s in range(n) if rng.random() < 0.4],
         )
         direct = [w for w in words if sim(m, w)]
-        rest = [w for w in words if w not in set(direct)]
+        accepted = set(direct)
+        rest = [w for w in words if w not in accepted]
         key = lambda w: (len(w), tuple("ab".index(s) for s in w))
         if m.determinize().enumerate_words(10) != direct:
             bad += 1

@@ -25,7 +25,7 @@ from preekit.fsa import (
     strip_reduction_pair_recognizer,
     word_difference_machine,
 )
-from preekit.group import cayley_ball
+from preekit.group import cayley_ball, equals_identity
 from preekit.pree import PreeError
 from preekit.words import find_strip, is_geodesic_word, parse_word, strip_reduce_once
 
@@ -188,6 +188,17 @@ def test_combing_is_a_sublanguage_of_geodesics(zxz):
     for w in words:
         assert geo.accepts(w)
     assert len(comb.enumerate_words(2)) == 25
+
+
+def test_combing_table_matches_per_word_solver(zxz):
+    letters = zxz.nonidentity()
+    want = {}
+    for x, y in itertools.product(letters, repeat=2):
+        want[(x, y)] = frozenset(
+            c for a, b, c in itertools.product(letters, repeat=3)
+            if zxz.table[b][c] == -1 and equals_identity(zxz, (a, b, c, zxz.inv[y], zxz.inv[x]))
+        )
+    assert build_combing_table(zxz).sprime == want
 
 
 def test_combing_variants(zxz):

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from conftest import all_words, table_fold, zxz_distance, zxz_vector
+from conftest import all_words, fixture_path, load_fixture, table_fold, zxz_distance, zxz_vector
+from preekit import cli, group, pree
 from preekit.fsa import combing_acceptor
 from preekit.group import (
     abelian_obstruction,
@@ -24,8 +25,8 @@ from preekit.group import (
     verify_short_identities,
     verify_surjectivity,
 )
-from preekit.pree import PreeError, check_axiom
-from preekit.words import parse_word
+from preekit.pree import UNDEF, AxiomWitness, PreeError, VerificationReport, check_axiom, load_pree
+from preekit.words import parse_word, render_word
 
 
 def _free_reduce(p, w):
@@ -39,6 +40,108 @@ def _free_reduce(p, w):
         else:
             out.append(a)
     return tuple(out)
+
+
+def _cyclic_pree(n, seed=0):
+    """Full table of Z_n, element ids shuffled by ``seed``."""
+    name = lambda k: "g%d" % k if k else "e"
+    order = [name(k) for k in range(1, n)]
+    random.Random(seed).shuffle(order)
+    lines = ["elements: e " + " ".join(order), "identity: e"]
+    lines += ["inverse: %s %s" % (name(k), name(n - k)) for k in range(1, n) if k < n - k]
+    lines += [
+        "product: %s %s %s" % (name(a), name(b), name((a + b) % n))
+        for a in range(1, n) for b in range(1, n) if (a + b) % n
+    ]
+    return load_pree("\n".join(lines) + "\n")
+
+
+def _dihedral_subtable(n, seed, keep=0.1):
+    """Part of the table of the dihedral group of order 2n: each product is
+    kept with probability ``keep``, and load_pree adds the identity and
+    inverse laws and the triangle closure.  Such tables often break an
+    axiom, and their quotient products do not commute."""
+    rng = random.Random(seed)
+    els = [(f, k) for f in (0, 1) for k in range(n)]
+    name = lambda e: ("s%d" if e[0] else "r%d") % e[1]
+    mul = lambda x, y: ((x[0] + y[0]) % 2, ((-x[1] if y[0] else x[1]) + y[1]) % n)
+    inv = {e: next(f for f in els if mul(e, f) == (0, 0)) for e in els}
+    lines = ["elements: " + " ".join(map(name, els)), "identity: r0"]
+    lines += ["inverse: %s %s" % (name(e), name(inv[e])) for e in els]
+    lines += [
+        "product: %s %s %s" % (name(a), name(b), name(mul(a, b)))
+        for a in els for b in els if rng.random() < keep
+    ]
+    return load_pree("\n".join(lines) + "\n")
+
+
+ALL_FIXTURES = ("zxz", "s3", "z6", "q8", "taxicab", "cycle4", "cycle5", "broken_closure")
+
+
+def _reference_cycle_fails(p, cycle):
+    n = len(cycle)
+    quot = []
+    for i in range(n):
+        q = p.table[p.inv[cycle[i]]][cycle[(i + 1) % n]]
+        if q == UNDEF:
+            return None
+        quot.append(q)
+    for i in range(n):
+        if p.table[quot[i]][quot[(i + 1) % n]] != UNDEF:
+            return None
+    return tuple(quot)
+
+
+def _reference_check_axiom(p, n):
+    """The unpruned search: every cycle whose quotients are all defined."""
+    cycle = [0] * n
+
+    def extend(i):
+        if i == n:
+            return _reference_cycle_fails(p, cycle)
+        for a in range(p.size):
+            cycle[i] = a
+            if i > 0 and p.table[p.inv[cycle[i - 1]]][a] == UNDEF:
+                continue
+            got = extend(i + 1)
+            if got is not None:
+                return got
+        return None
+
+    quot = extend(0)
+    if quot is None:
+        return None
+    witness = AxiomWitness(cycle=tuple(cycle), quotients=quot)
+    for r in range(1, n):
+        if _reference_cycle_fails(p, witness.cycle[r:] + witness.cycle[:r]) is None:
+            raise PreeError("witness not rotation-closed: %s" % witness.render(p))
+    if _reference_cycle_fails(p, tuple(reversed(witness.cycle))) is None:
+        raise PreeError("witness not reversal-closed: %s" % witness.render(p))
+    return witness
+
+
+def _axiom_outcome(search, p, n):
+    try:
+        return search(p, n)
+    except PreeError as exc:
+        return "raised: %s" % exc
+
+
+def _reference_short_identities(p):
+    """The per-word loop: one solver call for every word of length 4 and 5."""
+    r = VerificationReport("short-identity-reducibility")
+    checked = 0
+    hits = 0
+    for n in (4, 5):
+        for w in itertools.product(p.elements(), repeat=n):
+            checked += 1
+            if not equals_identity(p, w):
+                continue
+            hits += 1
+            if all(p.table[w[i]][w[i + 1]] == UNDEF for i in range(n - 1)):
+                r.problem("irreducible identity word: " + render_word(p, w))
+    r.note("words checked: %d, identity words found: %d" % (checked, hits))
+    return r
 
 
 def _plane_ball_count(r):
@@ -78,6 +181,39 @@ def test_axiom_witness_is_a_real_counterexample(cycle4):
 def test_check_axiom_rejects_other_lengths(zxz):
     with pytest.raises(PreeError):
         check_axiom(zxz, 3)
+
+
+def test_check_axiom_matches_unpruned_search():
+    tables = [(name, load_fixture(name)) for name in ALL_FIXTURES]
+    tables += [("Z_%d" % n, _cyclic_pree(n, seed=n)) for n in range(5, 11)]
+    tables += [("D_6/%d" % seed, _dihedral_subtable(6, seed)) for seed in range(10)]
+    for name, p in tables:
+        for n in (4, 5):
+            want = _axiom_outcome(_reference_check_axiom, p, n)
+            assert _axiom_outcome(check_axiom, p, n) == want, (name, n)
+
+
+def test_axiom_witnesses_stay_out_of_equality():
+    a, b = load_fixture("cycle4"), load_fixture("cycle4")
+    assert a.axiom_witnesses[0] is not None
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_axiom_witnesses_are_searched_once_per_table(monkeypatch):
+    calls = []
+
+    def counting(p, n):
+        calls.append(n)
+        return check_axiom(p, n)
+
+    # every module-level binding, so a caller holding its own reference counts too
+    for module in (pree, group, cli):
+        if hasattr(module, "check_axiom"):
+            monkeypatch.setattr(module, "check_axiom", counting)
+    for name in ("s3", "z6", "cycle4", "cycle5", "broken_closure"):
+        calls.clear()
+        cli.main(["verify", fixture_path(name)])
+        assert calls == [4, 5], name
 
 
 def test_obstruction_rules_out_unbalanced_words(taxicab, zxz):
@@ -250,6 +386,13 @@ def test_verify_short_identities(zxz, s3, taxicab):
     for p in (zxz, s3, taxicab):
         rep = verify_short_identities(p)
         assert rep.ok, rep.problems
+
+
+def test_short_identities_match_per_word_solver(zxz, s3, z6, q8, taxicab):
+    for p in (zxz, s3, z6, q8, taxicab, _cyclic_pree(7)):
+        assert axioms_hold(p)
+        got, want = verify_short_identities(p), _reference_short_identities(p)
+        assert (got.ok, got.problems, got.notes) == (want.ok, want.problems, want.notes)
 
 
 def test_verify_surjectivity(zxz, s3):

@@ -16,7 +16,6 @@ from preekit.words import (
     parse_word,
     reduce_once,
     render_word,
-    strip2_reduce_once,
     strip_reduce_once,
     strongly_reduce,
 )
@@ -164,15 +163,6 @@ def test_geodesic_agrees_with_metric_on_short_words(zxz):
         for w in all_words(zxz, n):
             want = zxz_distance(*zxz_vector(zxz, w)) == len(w)
             assert is_geodesic_word(zxz, w) == want, render_word(zxz, w)
-
-
-def test_strip2_shortens_by_two(zxz):
-    w = parse_word(zxz, "(1,0) (0,1) (-1,0) (0,-1)")
-    got = strip2_reduce_once(zxz, w)
-    assert got is not None
-    out, wit = got
-    assert len(out) == len(w) - 2
-    assert zxz_vector(zxz, out) == (0, 0)
 
 
 def test_trace_replay_rejects_mismatched_word(zxz):
