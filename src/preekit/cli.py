@@ -84,6 +84,11 @@ def _show(p: Pree, w) -> str:
     return render_word(p, w) if w else p.name(p.identity)
 
 
+def _row(fmt: str, key: str, value: str) -> str:
+    """One ``key: value`` line, or ``key<TAB>value`` in the records format."""
+    return key + ("\t" if fmt == "records" else ": ") + value
+
+
 def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
@@ -129,13 +134,12 @@ def cmd_reduce(args) -> int:
     p = _load(args.pree)
     w = _word(p, args.word)
     reduced, trace = strongly_reduce(p, w)
-    rec = args.format == "records"
-    lines = ["input\t" + _show(p, w) if rec else "input: " + _show(p, w)]
+    lines = [_row(args.format, "input", _show(p, w))]
     if args.trace:
         cur = w
         for i, step in enumerate(trace.steps):
             cur = apply_trace(p, cur, ReductionTrace((step,)))
-            if rec:
+            if args.format == "records":
                 lines.append(
                     "step\t%d\t%s\t%d\t%s" % (i + 1, step.kind, step.position, _show(p, cur))
                 )
@@ -143,12 +147,8 @@ def cmd_reduce(args) -> int:
                 lines.append(
                     "step %d: %s at %d -> %s" % (i + 1, step.kind, step.position, _show(p, cur))
                 )
-    if rec:
-        lines.append("reduced\t" + _show(p, reduced))
-        lines.append("steps\t%d" % len(trace.steps))
-    else:
-        lines.append("reduced: " + _show(p, reduced))
-        lines.append("steps: %d" % len(trace.steps))
+    lines.append(_row(args.format, "reduced", _show(p, reduced)))
+    lines.append(_row(args.format, "steps", str(len(trace.steps))))
     _emit(lines)
     return 0
 
@@ -160,20 +160,20 @@ def cmd_solve(args) -> int:
     if args.oracle:
         got = bfs_identity_oracle(p, w, length_bound=args.bound)
         oracle_verdict = "yes" if got is True else ("no" if got is False else "inconclusive")
-    rec = args.format == "records"
-    lines = ["word\t" + _show(p, w) if rec else "word: " + _show(p, w)]
+    fmt = args.format
+    lines = [_row(fmt, "word", _show(p, w))]
     try:
         ident = equals_identity(p, w)
     except PreeError:
         if oracle_verdict is None:
             raise _fail(2, "the word solver needs the short-cycle axioms; rerun with --oracle")
-        lines.append("identity\tunknown" if rec else "identity: unknown (axioms fail)")
-        lines.append(("oracle\t" if rec else "oracle: ") + oracle_verdict)
+        lines.append(_row(fmt, "identity", "unknown" if fmt == "records" else "unknown (axioms fail)"))
+        lines.append(_row(fmt, "oracle", oracle_verdict))
         _emit(lines)
         return 0 if oracle_verdict == "yes" else 1
-    lines.append(("identity\t" if rec else "identity: ") + ("yes" if ident else "no"))
+    lines.append(_row(fmt, "identity", "yes" if ident else "no"))
     if oracle_verdict is not None:
-        lines.append(("oracle\t" if rec else "oracle: ") + oracle_verdict)
+        lines.append(_row(fmt, "oracle", oracle_verdict))
     _emit(lines)
     return 0 if ident else 1
 
@@ -182,10 +182,7 @@ def cmd_geodesic(args) -> int:
     p = _load(args.pree)
     w = _word(p, args.word)
     ok = geodesic_acceptor(p).accepts(w)
-    if args.format == "records":
-        _emit(["word\t" + _show(p, w), "geodesic\t" + ("yes" if ok else "no")])
-    else:
-        _emit(["word: " + _show(p, w), "geodesic: " + ("yes" if ok else "no")])
+    _emit([_row(args.format, "word", _show(p, w)), _row(args.format, "geodesic", "yes" if ok else "no")])
     return 0 if ok else 1
 
 
@@ -257,28 +254,22 @@ def cmd_diagram(args) -> int:
         d = find_minimal_diagram(p, w, max_area=args.max_area)
     except PreeError as exc:
         raise _fail(2, str(exc))
-    rec = args.format == "records"
+    fmt = args.format
+    rec = fmt == "records"
+    lines = [_row(fmt, "boundary", _show(p, w))]
+    if rec:
+        lines.append("found\t" + ("no" if d is None else "yes"))
     if d is None:
-        if rec:
-            _emit(["boundary\t" + _show(p, w), "found\tno", "max_area\t%d" % args.max_area])
-        else:
-            _emit(
-                [
-                    "boundary: " + _show(p, w),
-                    "no diagram within area %d" % args.max_area,
-                ]
-            )
+        lines.append("max_area\t%d" % args.max_area if rec else "no diagram within area %d" % args.max_area)
+        _emit(lines)
         return 1
     stats = diagram_stats(d)
     lhs, rhs, _ = curvature_check(d)
     if args.dot:
         _write(args.dot, diagram_to_dot(d))
+    lines += [_row(fmt, "area", str(d.area)), _row(fmt, "reading", _show(p, d.boundary_word()))]
     if rec:
-        lines = [
-            "boundary\t" + _show(p, w),
-            "found\tyes",
-            "area\t%d" % d.area,
-            "reading\t" + _show(p, d.boundary_word()),
+        lines += [
             "curvature\t%d\t%d" % (lhs, rhs),
             "delta2\t%d" % stats.delta2,
             "delta3\t%d" % stats.delta3,
@@ -287,13 +278,7 @@ def cmd_diagram(args) -> int:
             "galleries\t%d" % stats.galleries,
         ]
     else:
-        lines = [
-            "boundary: " + _show(p, w),
-            "area: %d" % d.area,
-            "reading: " + _show(p, d.boundary_word()),
-            "curvature: %d = %d" % (lhs, rhs),
-            "stats: " + stats.render(),
-        ]
+        lines += ["curvature: %d = %d" % (lhs, rhs), "stats: " + stats.render()]
     _emit(lines)
     return 0
 

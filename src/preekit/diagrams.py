@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
-from .pree import Pree, PreeError
+from .pree import UNDEF, Pree, PreeError
 from .words import Word, StripWitness, inverse_word, render_word
 from .group import abelian_obstruction
 
@@ -118,7 +118,7 @@ class Diagram:
             for r in range(3):
                 x1, x2, x3 = labs[r], labs[(r + 1) % 3], labs[(r + 2) % 3]
                 c = p.table[x1][x2]
-                if c != -1 and c == p.inv[x3]:
+                if c != UNDEF and c == p.inv[x3]:
                     ok = True
                     break
             if not ok:
@@ -179,7 +179,7 @@ def curvature_check(d: Diagram) -> tuple[int, int, bool]:
 def single_triangle(p: Pree, a: int, b: int) -> Diagram:
     """One face; boundary reads a, b, (ab)^-1 from vertex 0."""
     c = p.table[a][b]
-    if c == -1:
+    if c == UNDEF:
         raise DiagramError(
             "product of %s and %s is not defined" % (p.name(a), p.name(b))
         )
@@ -235,7 +235,7 @@ def _fold(d: Diagram, pos: int) -> Diagram:
     s2 = d.boundary[(pos + 1) % n]
     x, y = d.side_label(s1), d.side_label(s2)
     z = p.table[x][y]
-    if z == -1:
+    if z == UNDEF:
         raise DiagramError(
             "product of %s and %s is not defined" % (p.name(x), p.name(y))
         )
@@ -360,7 +360,7 @@ def diagram_from_strip(p: Pree, witness: StripWitness) -> Diagram:
     g = [0] * n  # g[i] defined for 2..n-1
     for i in range(2, n):
         g[i] = p.table[inv[a[i - 1]]][d[i - 2]]
-        if g[i] == -1:
+        if g[i] == UNDEF:
             raise DiagramError("strip witness does not hold in the table")
     # vertices: t0..tn are 0..n, b1..b_{n-2} are n+1..2n-2
     t = list(range(n + 1))
@@ -404,7 +404,7 @@ def fan_diagram(p: Pree, spokes: list[int]) -> Diagram:
     quot = []
     for i in range(n):
         q = p.table[p.inv[spokes[i]]][spokes[(i + 1) % n]]
-        if q == -1:
+        if q == UNDEF:
             raise DiagramError("spoke quotient %d is not defined" % i)
         quot.append(q)
     # vertices: hub 0, rim 1..n
@@ -470,7 +470,7 @@ def reduce_internal_vertex(p: Pree, d: Diagram, v: int) -> Diagram:
     pi = []
     for i in range(deg):
         q = p.table[p.inv[sigma[i]]][sigma[(i + 1) % deg]]
-        if q == -1:
+        if q == UNDEF:
             raise DiagramError("fan quotient undefined; diagram is inconsistent")
         pi.append(q)
     spoke_edges = {corner[fi][0][0] for fi in chain}
@@ -482,7 +482,7 @@ def reduce_internal_vertex(p: Pree, d: Diagram, v: int) -> Diagram:
         n_h = len(hole)
         cut = -1
         for k in range(n_h):
-            if p.table[hole[k][2]][hole[(k + 1) % n_h][2]] != -1:
+            if p.table[hole[k][2]][hole[(k + 1) % n_h][2]] != UNDEF:
                 cut = k
                 break
         if cut == -1:
@@ -579,9 +579,7 @@ def grow_random(p: Pree, rng: Random, target_area: int) -> Diagram:
     pairs = list(p.defined_pairs())
     a, b, _ = pairs[rng.randrange(len(pairs))]
     d = single_triangle(p, a, b)
-    fact: list[list[tuple[int, int]]] = [[] for _ in range(p.size)]
-    for x, y, z in pairs:
-        fact[z].append((x, y))
+    fact = p.factorizations
     guard = 0
     while d.area < target_area and guard < 200 * target_area:
         guard += 1
@@ -591,7 +589,7 @@ def grow_random(p: Pree, rng: Random, target_area: int) -> Diagram:
             for q in range(n):
                 x = d.side_label(d.boundary[q])
                 y = d.side_label(d.boundary[(q + 1) % n])
-                if p.table[x][y] != -1:
+                if p.table[x][y] != UNDEF:
                     folds.append(q)
         if folds and rng.random() < 0.35:
             q = folds[rng.randrange(len(folds))]
@@ -626,7 +624,7 @@ def _triangle_reading(p: Pree, rep: Word) -> Optional[Word]:
         for r in range(3):
             x1, x2, x3 = t[r], t[(r + 1) % 3], t[(r + 2) % 3]
             c = p.table[x1][x2]
-            if c != -1 and c == p.inv[x3]:
+            if c != UNDEF and c == p.inv[x3]:
                 return (x1, x2, x3)
     return None
 
@@ -647,10 +645,7 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
         return None
     if not abelian_obstruction(p).might_be_identity(w):
         return None
-    table, inv = p.table, p.inv
-    fact: list[list[tuple[int, int]]] = [[] for _ in range(p.size)]
-    for a, b, c in p.defined_pairs():
-        fact[c].append((a, b))
+    table, inv, fact = p.table, p.inv, p.factorizations
 
     def h(n: int) -> int:
         return max(1, n - 3)
@@ -672,7 +667,7 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
         if n >= 3:
             for i in range(n):
                 c = table[rep[i]][rep[(i + 1) % n]]
-                if c == -1:
+                if c == UNDEF:
                     continue
                 if i < n - 1:
                     child = rep[:i] + (c,) + rep[i + 2 :]

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
-from .pree import Pree, PreeError
+from .pree import UNDEF, Pree
 from .words import Word, render_word
 # equals_identity is no longer called here; it stays importable as fsa.equals_identity
-from .group import cayley_ball, contraction_solver, equals_identity  # noqa: F401
+from .group import cayley_ball, contraction_solver, equals_identity, neighbor_pairs  # noqa: F401
 
 PAD = -2
 
@@ -314,7 +314,7 @@ def _irreducible(p: Pree, allow_word_one: bool) -> FiniteAutomaton:
             trans[(0, x)] = (1 + x,)
     for x in p.elements():
         for y in p.elements():
-            if p.table[x][y] == -1:
+            if p.table[x][y] == UNDEF:
                 trans[(1 + x, y)] = (1 + y,)
     return FiniteAutomaton(
         1 + p.size,
@@ -356,16 +356,16 @@ def strip_reduction_pair_recognizer(p: Pree) -> FiniteAutomaton:
     for a in p.elements():
         for d in p.elements():
             c = table[a][d]
-            if c != -1:
+            if c != UNDEF:
                 add(copy, (a, c), strip(d))
     for d in p.elements():
         for a in p.elements():
             g = table[inv[a]][d]
-            if g == -1:
+            if g == UNDEF:
                 continue
             for c in p.elements():
                 t = table[g][c]
-                if t != -1:
+                if t != UNDEF:
                     add(strip(d), (a, c), strip(t))
                     add(strip(d), (a, c), expect(t))
     for e in p.elements():
@@ -393,8 +393,6 @@ class CombingTable:
     abc with bc undefined and abc equal to xy in the group.
     """
 
-    pree: Pree
-    variant: str
     sprime: dict[tuple[int, int], frozenset]
     forbidden: frozenset
 
@@ -402,15 +400,12 @@ class CombingTable:
         return (x, y, z) in self.forbidden
 
 
-def build_combing_table(p: Pree, variant: str = "forward") -> CombingTable:
+def build_combing_table(p: Pree) -> CombingTable:
     """Tabulate the banned triples.
 
-    A triple (x, y, z) is banned when some c in sprime(x, y) composes
-    with z: the "forward" variant tests product(c, z), the "literal"
-    one tests product(inverse(c), z).
+    A triple (x, y, z) is banned when some c in sprime(x, y) has a
+    defined product c*z.
     """
-    if variant not in ("forward", "literal"):
-        raise PreeError("unknown combing variant %r" % variant)
     letters = p.nonidentity()
     is_identity = contraction_solver(p)
     sprime: dict[tuple[int, int], frozenset] = {}
@@ -419,7 +414,7 @@ def build_combing_table(p: Pree, variant: str = "forward") -> CombingTable:
             hits = set()
             for a, b in itertools.product(letters, repeat=2):
                 for c in letters:
-                    if p.table[b][c] != -1:
+                    if p.table[b][c] != UNDEF:
                         continue
                     if is_identity((a, b, c, p.inv[y], p.inv[x])):
                         hits.add(c)
@@ -428,22 +423,20 @@ def build_combing_table(p: Pree, variant: str = "forward") -> CombingTable:
     for (x, y), cs in sprime.items():
         for z in letters:
             for c in cs:
-                probe = c if variant == "forward" else p.inv[c]
-                if p.table[probe][z] != -1:
+                if p.table[c][z] != UNDEF:
                     forbidden.add((x, y, z))
                     break
-    return CombingTable(pree=p, variant=variant, sprime=sprime, forbidden=frozenset(forbidden))
+    return CombingTable(sprime=sprime, forbidden=frozenset(forbidden))
 
 
-def combing_acceptor(p: Pree, table: Optional[CombingTable] = None) -> FiniteAutomaton:
+def combing_acceptor(p: Pree) -> FiniteAutomaton:
     """Geodesics whose odd-position windows avoid the banned triples.
 
     Positions are 1-indexed; a window (w_j, w_j+1, w_j+2) is checked for
     every odd j with j+2 <= n.  The window automaton runs in product
     with the geodesic acceptor.
     """
-    if table is None:
-        table = build_combing_table(p)
+    table = build_combing_table(p)
     size = p.size
     # state 0: even number of letters consumed, no pending window
     # 1+x: one pending letter x (odd position); 1+size+(x*size+y): two pending
@@ -500,37 +493,15 @@ def word_difference_machine(
     # neighbor lookups inside complete rows
     ball = cayley_ball(p, R + 1)
     words = [tuple(w) for w in language.enumerate_words(R)]
-    ends = []
-    for w in words:
-        e = ball.element_of_word(w)
-        if e is None:
-            raise PreeError("accepted word leaves the ball; language is not geodesic")
-        ends.append(e)
-    by_end: dict[int, list[int]] = {}
-    for i, e in enumerate(ends):
-        by_end.setdefault(e, []).append(i)
-    for e1 in sorted(by_end):
-        targets = {e1}
-        for g in p.nonidentity():
-            t = ball.step[e1][g]
-            if t != -1:
-                targets.add(t)
-        for e2 in sorted(targets):
-            if e2 < e1 or e2 not in by_end:
-                continue
-            for i in by_end[e1]:
-                for j in by_end[e2]:
-                    if e1 == e2 and j <= i:
-                        continue
-                    u, v = words[i], words[j]
-                    d = 0
-                    for s in range(max(len(u), len(v))):
-                        if s < len(u):
-                            d = left[d][inv[u[s]]]
-                        if d != -1 and s < len(v):
-                            d = step[d][v[s]]
-                        if d == -1 or dist[d] > K:
-                            return FailureWitness(u=u, v=v, step=s + 1)
+    for u, v in neighbor_pairs(p, ball, words):
+        d = 0
+        for s in range(max(len(u), len(v))):
+            if s < len(u):
+                d = left[d][inv[u[s]]]
+            if d != -1 and s < len(v):
+                d = step[d][v[s]]
+            if d == -1 or dist[d] > K:
+                return FailureWitness(u=u, v=v, step=s + 1)
 
     D = language.determinize()
     q0 = next(iter(D.initial))

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 # check_axiom is no longer called here; it stays importable as group.check_axiom
 from .pree import UNDEF, Pree, PreeError, VerificationReport, check_axiom  # noqa: F401
@@ -130,26 +129,9 @@ class AbelianObstruction:
         return self.lattice_contains(self.vector(w))
 
 
-# Caches keyed by the pree itself (frozen, hashable); weak keys so
-# throwaway tables do not pile up.
-_obstruction_cache: "weakref.WeakKeyDictionary[Pree, AbelianObstruction]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def abelian_obstruction(p: Pree) -> AbelianObstruction:
-    obs = _obstruction_cache.get(p)
-    if obs is None:
-        obs = AbelianObstruction(p)
-        _obstruction_cache[p] = obs
-    return obs
-
-
-def _factorizations(p: Pree) -> list[list[tuple[int, int]]]:
-    fact: list[list[tuple[int, int]]] = [[] for _ in p.elements()]
-    for a, b, c in p.defined_pairs():
-        fact[c].append((a, b))
-    return fact
+    """The table's obstruction, built once per table instance."""
+    return p.derived("abelian_obstruction", lambda: AbelianObstruction(p))
 
 
 def bfs_identity_oracle(
@@ -170,7 +152,7 @@ def bfs_identity_oracle(
         return False
 
     target = (p.identity,)
-    fact = _factorizations(p)
+    fact = p.factorizations
     table = p.table
     truncated = False
     seen = {w}
@@ -182,7 +164,7 @@ def bfs_identity_oracle(
         m = len(u)
         for i in range(m - 1):
             c = table[u[i]][u[i + 1]]
-            if c != -1:
+            if c != UNDEF:
                 v = u[:i] + (c,) + u[i + 2 :]
                 if v not in seen:
                     seen.add(v)
@@ -279,9 +261,6 @@ class CayleyBall:
         return out
 
 
-_ball_cache: "weakref.WeakKeyDictionary[Pree, dict]" = weakref.WeakKeyDictionary()
-
-
 def cayley_ball(
     p: Pree, radius: int, method: str = "dehn", element_cap: int = 250_000
 ) -> CayleyBall:
@@ -290,14 +269,15 @@ def cayley_ball(
     Element identity is decided by equals_identity ("dehn") or by the
     neighbor-search oracle ("oracle"); candidates are bucketed by their
     abelianized image first so the expensive check runs only within a
-    bucket.  Balls are cached per pree.
+    bucket.  Balls are cached per table instance.
     """
     if radius < 0:
         raise PreeError("radius must be nonnegative")
-    per_pree = _ball_cache.setdefault(p, {})
-    cached = per_pree.get((radius, method))
-    if cached is not None:
-        return cached
+    key = ("cayley_ball", radius, method)
+    return p.derived(key, lambda: _build_ball(p, radius, method, element_cap))
+
+
+def _build_ball(p: Pree, radius: int, method: str, element_cap: int) -> CayleyBall:
     if method == "dehn":
         if not axioms_hold(p):
             raise PreeError("dehn ball needs the short-cycle axioms; use method='oracle'")
@@ -401,11 +381,9 @@ def cayley_ball(
             left_rows[e][x] = -1 if xp == -1 else step[xp][h]
     left = tuple(tuple(r) for r in left_rows)
 
-    ball = CayleyBall(
+    return CayleyBall(
         pree=p, radius=radius, reps=tuple(reps), dist=tuple(dist), step=step, left=left
     )
-    per_pree[(radius, method)] = ball
-    return ball
 
 
 def verify_embedding(p: Pree) -> VerificationReport:
@@ -525,6 +503,34 @@ def sync_separation(arena: CayleyBall, u: Word, v: Word) -> tuple[int, bool]:
     return worst, False
 
 
+def neighbor_pairs(p: Pree, ball: CayleyBall, words: list[Word]) -> Iterator[tuple[Word, Word]]:
+    """Each unordered pair of words whose endpoints coincide or differ by one generator.
+
+    Pairs come in endpoint order.  ``ball`` must have total rows at every
+    endpoint; a word that leaves it raises.
+    """
+    by_end: dict[int, list[Word]] = {}
+    for w in words:
+        e = ball.element_of_word(w)
+        if e is None:
+            raise PreeError("accepted word leaves the ball; language is not geodesic")
+        by_end.setdefault(e, []).append(w)
+    gens = p.nonidentity()
+    for e1 in sorted(by_end):
+        targets = {e1}
+        for g in gens:
+            t = ball.step[e1][g]
+            if t != -1:
+                targets.add(t)
+        for e2 in sorted(targets):
+            if e2 < e1 or e2 not in by_end:
+                continue
+            for i, u in enumerate(by_end[e1]):
+                for j, v in enumerate(by_end[e2]):
+                    if e1 != e2 or i < j:
+                        yield u, v
+
+
 def fellow_traveler_check(p: Pree, language, R: int, K: int) -> FellowTravelerReport:
     """Compare all same-start pairs of accepted words of length <= R.
 
@@ -534,42 +540,18 @@ def fellow_traveler_check(p: Pree, language, R: int, K: int) -> FellowTravelerRe
     (so neighbor lookups are total) and covers the difference arena.
     """
     ball = cayley_ball(p, max(R + 1, K + 2))
-    arena = ball
     words = [tuple(w) for w in language.enumerate_words(R)]
-    ends: list[int] = []
-    for w in words:
-        e = ball.element_of_word(w)
-        if e is None:
-            raise PreeError("accepted word leaves the ball; language is not geodesic")
-        ends.append(e)
-
-    by_end: dict[int, list[int]] = {}
-    for i, e in enumerate(ends):
-        by_end.setdefault(e, []).append(i)
-
     max_sep = 0
     worst = ((), ())
     pairs = 0
     exceeded = False
-    for e1 in sorted(by_end):
-        targets = {e1}
-        for g in p.nonidentity():
-            t = ball.step[e1][g]
-            if t != -1:
-                targets.add(t)
-        for e2 in sorted(targets):
-            if e2 < e1 or e2 not in by_end:
-                continue
-            for i in by_end[e1]:
-                for j in by_end[e2]:
-                    if e1 == e2 and j <= i:
-                        continue
-                    pairs += 1
-                    sep, over = sync_separation(arena, words[i], words[j])
-                    exceeded = exceeded or over
-                    if sep > max_sep:
-                        max_sep = sep
-                        worst = (words[i], words[j])
+    for u, v in neighbor_pairs(p, ball, words):
+        pairs += 1
+        sep, over = sync_separation(ball, u, v)
+        exceeded = exceeded or over
+        if sep > max_sep:
+            max_sep = sep
+            worst = (u, v)
     return FellowTravelerReport(
         target=K,
         max_separation=max_sep,

@@ -17,9 +17,11 @@ downstream: for every cycle ``a_1 .. a_n`` (n = 4 or 5) whose quotients
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 UNDEF = -1
+
+T = TypeVar("T")
 
 
 class PreeError(Exception):
@@ -39,6 +41,9 @@ class Pree:
     identity: int
     inv: tuple[int, ...]
     table: tuple[tuple[int, ...], ...]
+    # Declared, not set later: a new attribute written through __dict__ makes CPython
+    # 3.11 drop the inline attribute values, and later table/inv reads get slower.
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -52,9 +57,6 @@ class Pree:
     def defined(self, a: int, b: int) -> bool:
         return self.table[a][b] != UNDEF
 
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def name(self, a: int) -> str:
         return self.names[a]
 
@@ -67,23 +69,37 @@ class Pree:
     def elements(self) -> range:
         return range(len(self.names))
 
+    def derived(self, key, build: Callable[[], T]) -> T:
+        """The value stored under ``key``, made by ``build()`` on first use.
+
+        The store belongs to this instance and takes no part in equality,
+        hashing or repr, so equal tables loaded twice do not share it.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
     @property
     def axiom_witnesses(self) -> tuple[Optional[AxiomWitness], Optional[AxiomWitness]]:
         """(witness4, witness5) from check_axiom, searched once per table.
 
-        None entries mean the axiom holds.  The value is stored on the
-        instance outside the dataclass fields, so it takes no part in
-        equality or hashing.
+        None entries mean the axiom holds.
         """
-        try:
-            return self._axiom_witnesses
-        except AttributeError:
-            got = check_axiom(self, 4), check_axiom(self, 5)
-            # Not functools.cached_property: writing through __dict__ makes
-            # CPython 3.11 drop the instance's inline attribute values, and
-            # every later read of table or inv gets about 1.5x slower.
-            object.__setattr__(self, "_axiom_witnesses", got)
-            return got
+        return self.derived("axiom_witnesses", lambda: (check_axiom(self, 4), check_axiom(self, 5)))
+
+    @property
+    def factorizations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``factorizations[c]`` lists every (a, b) with a*b = c, in id order."""
+
+        def build():
+            fact: list[list[tuple[int, int]]] = [[] for _ in self.elements()]
+            for a, b, c in self.defined_pairs():
+                fact[c].append((a, b))
+            return tuple(tuple(f) for f in fact)
+
+        return self.derived("factorizations", build)
 
     def nonidentity(self) -> list[int]:
         return [a for a in self.elements() if a != self.identity]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .pree import Pree, PreeError
+from .pree import UNDEF, Pree, PreeError
 
 Word = tuple[int, ...]
 
@@ -57,7 +57,7 @@ def reduce_once(p: Pree, w: Word) -> Optional[tuple[Word, int]]:
     """Contract the leftmost adjacent pair with a defined product."""
     for i in range(len(w) - 1):
         c = p.table[w[i]][w[i + 1]]
-        if c != -1:
+        if c != UNDEF:
             return w[:i] + (c,) + w[i + 2 :], i
     return None
 
@@ -117,7 +117,7 @@ def _strip_dp(p: Pree, a: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tu
     ian2 = inv[a[n - 2]]
     for d in elems:
         g = table[ian2][d]
-        if g != -1 and table[inv[g]][an1] != -1:
+        if g != UNDEF and table[inv[g]][an1] != UNDEF:
             last[d] = True
     viable = [last]
     for j in range(n - 4, -1, -1):
@@ -126,12 +126,12 @@ def _strip_dp(p: Pree, a: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tu
         cur = [False] * p.size
         for d in elems:
             g = table[ia][d]
-            if g == -1:
+            if g == UNDEF:
                 continue
             ig = inv[g]
             row = table[ig]
             for d2 in elems:
-                if nxt[d2] and row[d2] != -1:
+                if nxt[d2] and row[d2] != UNDEF:
                     cur[d] = True
                     break
         viable.insert(0, cur)
@@ -139,7 +139,7 @@ def _strip_dp(p: Pree, a: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tu
     a0 = a[0]
     first = None
     for d in elems:
-        if viable[0][d] and table[a0][d] != -1:
+        if viable[0][d] and table[a0][d] != UNDEF:
             first = d
             break
     if first is None:
@@ -152,7 +152,7 @@ def _strip_dp(p: Pree, a: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tu
         ig = inv[g]
         row = table[ig]
         for d in elems:
-            if viable[j][d] and row[d] != -1:
+            if viable[j][d] and row[d] != UNDEF:
                 diagonals.append(d)
                 output.append(row[d])
                 break
@@ -177,7 +177,7 @@ def find_strip(p: Pree, w: Word) -> Optional[StripWitness]:
     for start in range(m - 2):
         a0 = w[start]
         row0 = table[a0]
-        cur = [row0[d] != -1 for d in elems]
+        cur = [row0[d] != UNDEF for d in elems]
         if not any(cur):
             continue
         # cur holds the viable diagonals entering column j; the strip of
@@ -190,7 +190,7 @@ def find_strip(p: Pree, w: Word) -> Optional[StripWitness]:
                 if not cur[d]:
                     continue
                 g = table[ian2][d]
-                if g != -1 and table[inv[g]][an1] != -1:
+                if g != UNDEF and table[inv[g]][an1] != UNDEF:
                     done = True
                     break
             if done:
@@ -206,11 +206,11 @@ def find_strip(p: Pree, w: Word) -> Optional[StripWitness]:
                 if not cur[d]:
                     continue
                 g = table[ia][d]
-                if g == -1:
+                if g == UNDEF:
                     continue
                 row = table[inv[g]]
                 for d2 in elems:
-                    if row[d2] != -1:
+                    if row[d2] != UNDEF:
                         nxt[d2] = True
                         alive = True
             if not alive:

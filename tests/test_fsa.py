@@ -8,8 +8,6 @@ supposed to match.
 import itertools
 import random
 
-import pytest
-
 from conftest import all_words
 from preekit.fsa import (
     PAD,
@@ -26,7 +24,6 @@ from preekit.fsa import (
     word_difference_machine,
 )
 from preekit.group import cayley_ball, equals_identity
-from preekit.pree import PreeError
 from preekit.words import find_strip, is_geodesic_word, parse_word, strip_reduce_once
 
 
@@ -199,16 +196,6 @@ def test_combing_table_matches_per_word_solver(zxz):
             if zxz.table[b][c] == -1 and equals_identity(zxz, (a, b, c, zxz.inv[y], zxz.inv[x]))
         )
     assert build_combing_table(zxz).sprime == want
-
-
-def test_combing_variants(zxz):
-    with pytest.raises(PreeError):
-        build_combing_table(zxz, variant="sideways")
-    table = build_combing_table(zxz, variant="literal")
-    acc = combing_acceptor(zxz, table)
-    geo = geodesic_acceptor(zxz)
-    for w in acc.enumerate_words(3):
-        assert geo.accepts(w)
 
 
 def test_word_difference_machine_small(zxz):

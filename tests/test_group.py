@@ -5,8 +5,10 @@ checked against plane vectors, the free table against stack
 cancellation, and the full tables against direct folding.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -20,6 +22,7 @@ from preekit.group import (
     cayley_ball,
     equals_identity,
     fellow_traveler_check,
+    neighbor_pairs,
     sync_separation,
     verify_embedding,
     verify_short_identities,
@@ -197,6 +200,22 @@ def test_axiom_witnesses_stay_out_of_equality():
     a, b = load_fixture("cycle4"), load_fixture("cycle4")
     assert a.axiom_witnesses[0] is not None
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    a, b = load_fixture("zxz"), load_fixture("zxz")
+    before = hash(a), repr(a)
+    cayley_ball(a, 2)
+    abelian_obstruction(a)
+    assert a.factorizations
+    assert a == b and (hash(a), repr(a)) == before == (hash(b), repr(b))
+
+
+def test_tables_are_freed_after_use():
+    p = load_fixture("zxz")
+    cayley_ball(p, 2)
+    abelian_obstruction(p)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 def test_axiom_witnesses_are_searched_once_per_table(monkeypatch):
@@ -416,6 +435,21 @@ def test_fellow_traveler_full_table(s3):
     rep = fellow_traveler_check(s3, combing_acceptor(s3), 2, 5)
     assert rep.ok
     assert rep.max_separation <= 1
+
+
+def test_neighbor_pairs_match_brute_force(zxz):
+    words = [tuple(w) for w in combing_acceptor(zxz).enumerate_words(4)]
+    got = list(neighbor_pairs(zxz, cayley_ball(zxz, 5), words))
+    steps = {(0, 0)} | {zxz_vector(zxz, (g,)) for g in zxz.nonidentity()}
+    want = set()
+    for u, v in itertools.combinations(words, 2):
+        (ux, uy), (vx, vy) = zxz_vector(zxz, u), zxz_vector(zxz, v)
+        if (vx - ux, vy - uy) in steps:
+            want.add(frozenset((u, v)))
+    assert len(got) == len({frozenset(pair) for pair in got}) == 672
+    assert {frozenset(pair) for pair in got} == want
+    with pytest.raises(PreeError, match="leaves the ball"):
+        list(neighbor_pairs(zxz, cayley_ball(zxz, 1), words))
 
 
 def test_sync_separation_identities(zxz):

@@ -1,48 +1,31 @@
 """Regenerate the golden CLI outputs under tests/golden/.
 
-Run from the repository root after any deliberate output change, then
-review the diff before committing.  Each entry pins stdout bytes and
-the exit code of one invocation; tests/test_cli.py replays them.
+Run after any deliberate output change, then review the diff before
+committing.  The cases are tests/test_cli.py's GOLDEN_CASES: each pins
+stdout bytes and the exit code of one invocation, and the tests replay
+them.
 """
 
-import contextlib
-import io
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from preekit import cli  # noqa: E402
-
-CASES = [
-    ("zxz_verify", ["verify", "fixtures/zxz.pree"], 0),
-    ("s3_verify", ["verify", "fixtures/s3.pree"], 0),
-    ("z6_verify", ["verify", "fixtures/z6.pree"], 0),
-    ("q8_verify", ["verify", "fixtures/q8.pree"], 0),
-    ("taxicab_axioms", ["axioms", "fixtures/taxicab.pree"], 0),
-    ("taxicab_ball_r2", ["ball", "fixtures/taxicab.pree", "-r", "2"], 0),
-    ("cycle4_axioms", ["axioms", "fixtures/cycle4.pree"], 1),
-    ("cycle5_axioms", ["axioms", "fixtures/cycle5.pree"], 1),
-    ("broken_closure_validate", ["validate", "fixtures/broken_closure.pree"], 3),
-]
+from test_cli import GOLDEN, GOLDEN_CASES, _run  # noqa: E402
 
 
 def main() -> int:
-    os.chdir(ROOT)
-    outdir = os.path.join(ROOT, "tests", "golden")
-    os.makedirs(outdir, exist_ok=True)
-    for name, argv, want_code in CASES:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name, argv, want_code in GOLDEN_CASES:
+        code, out, _ = _run(argv)
         if code != want_code:
             print("%s: exit %d, expected %d" % (name, code, want_code), file=sys.stderr)
             return 1
-        path = os.path.join(outdir, name + ".txt")
+        path = os.path.join(GOLDEN, name + ".txt")
         with open(path, "w") as fh:
-            fh.write(out.getvalue())
-        print("wrote %s (%d bytes)" % (path, len(out.getvalue())))
+            fh.write(out)
+        print("wrote %s (%d bytes)" % (path, len(out)))
     return 0
 
 
