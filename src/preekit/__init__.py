@@ -7,6 +7,8 @@ solver, geodesic and combing automata, triangular diagrams with exact
 curvature accounting, and a verification suite tying them together.
 """
 
+import importlib
+
 from .pree import Pree, PreeError, load_pree, dump_pree, validate_pree, check_axiom
 from .words import parse_word, render_word, strongly_reduce, is_geodesic_word
 from .group import (
@@ -26,7 +28,6 @@ from .fsa import (
     strip_reduction_pair_recognizer,
     word_difference_machine,
 )
-from .diagrams import Diagram, curvature_check, diagram_stats, find_minimal_diagram
 
 __all__ = [
     "Pree",
@@ -57,3 +58,12 @@ __all__ = [
     "diagram_stats",
     "find_minimal_diagram",
 ]
+
+
+def __getattr__(name: str):
+    """Import diagrams on first use, so the word and verify commands never load it."""
+    if name == "diagrams" or name in ("Diagram", "curvature_check", "diagram_stats", "find_minimal_diagram"):
+        # not "from . import diagrams", which would call this hook again
+        diagrams = importlib.import_module(".diagrams", __name__)
+        return diagrams if name == "diagrams" else getattr(diagrams, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

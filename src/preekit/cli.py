@@ -15,7 +15,6 @@ from typing import Optional
 from .pree import Pree, PreeError, load_pree, validate_pree
 from .words import ReductionTrace, apply_trace, parse_word, render_word, strongly_reduce
 from .group import (
-    axiom_status,
     axioms_hold,
     bfs_identity_oracle,
     cayley_ball,
@@ -32,12 +31,6 @@ from .fsa import (
     geodesic_acceptor,
     render_symbol,
     strip_reduction_pair_recognizer,
-)
-from .diagrams import (
-    curvature_check,
-    diagram_stats,
-    diagram_to_dot,
-    find_minimal_diagram,
 )
 
 
@@ -61,6 +54,15 @@ def _load(path: str) -> Pree:
         return load_pree(text)
     except PreeError as exc:
         raise _fail(3, "%s: %s" % (path, exc))
+
+
+def _load_valid(path: str) -> Pree:
+    """The table, for commands that trust it: exit 3 unless it validates."""
+    p = _load(path)
+    rep = validate_pree(p)
+    if not rep.ok:
+        raise _fail(3, "%s: %s" % (path, rep.problems[0]))
+    return p
 
 
 def _word(p: Pree, text: str):
@@ -113,7 +115,7 @@ def cmd_axioms(args) -> int:
     p = _load(args.pree)
     lines = []
     code = 0
-    for n, w in zip((4, 5), axiom_status(p)):
+    for n, w in zip((4, 5), p.axiom_witnesses):
         if args.format == "records":
             lines.append("axiom%d\t%s" % (n, "pass" if w is None else "fail"))
             if w is not None:
@@ -131,7 +133,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    p = _load(args.pree)
+    p = _load_valid(args.pree)
     w = _word(p, args.word)
     reduced, trace = strongly_reduce(p, w)
     lines = [_row(args.format, "input", _show(p, w))]
@@ -154,7 +156,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    p = _load(args.pree)
+    p = _load_valid(args.pree)
     w = _word(p, args.word)
     oracle_verdict: Optional[str] = None
     if args.oracle:
@@ -179,7 +181,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    p = _load(args.pree)
+    p = _load_valid(args.pree)
     w = _word(p, args.word)
     ok = geodesic_acceptor(p).accepts(w)
     _emit([_row(args.format, "word", _show(p, w)), _row(args.format, "geodesic", "yes" if ok else "no")])
@@ -187,7 +189,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_comb(args) -> int:
-    p = _load(args.pree)
+    p = _load_valid(args.pree)
     if not axioms_hold(p):
         raise _fail(2, "the combed language needs the short-cycle axioms")
     acc = combing_acceptor(p)
@@ -203,7 +205,7 @@ def cmd_comb(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    p = _load(args.pree)
+    p = _load_valid(args.pree)
     method = "dehn" if axioms_hold(p) else "oracle"
     try:
         ball = cayley_ball(p, args.radius, method=method)
@@ -226,7 +228,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_fellow(args) -> int:
-    p = _load(args.pree)
+    p = _load_valid(args.pree)
     if not axioms_hold(p):
         raise _fail(2, "fellow traveling needs the short-cycle axioms")
     rep = fellow_traveler_check(p, combing_acceptor(p), args.radius, args.k)
@@ -248,7 +250,9 @@ def cmd_fellow(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    p = _load(args.pree)
+    # imported here so that the other commands never load the diagram module
+    from .diagrams import curvature_check, diagram_stats, diagram_to_dot, find_minimal_diagram
+    p = _load_valid(args.pree)
     w = _word(p, args.boundary)
     try:
         d = find_minimal_diagram(p, w, max_area=args.max_area)
@@ -284,7 +288,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_export_fsa(args) -> int:
-    p = _load(args.pree)
+    p = _load_valid(args.pree)
     if args.which == "geodesic":
         m = geodesic_acceptor(p)
     elif args.which == "combing":
@@ -319,7 +323,7 @@ def cmd_verify(args) -> int:
     rows: list[tuple[str, Optional[bool], str]] = []
     vrep = validate_pree(p)
     rows.append(("pree-structure", vrep.ok, "" if vrep.ok else vrep.problems[0]))
-    w4, w5 = axiom_status(p)
+    w4, w5 = p.axiom_witnesses
     rows.append(("axiom-4-cycles", w4 is None, "" if w4 is None else w4.render(p)))
     rows.append(("axiom-5-cycles", w5 is None, "" if w5 is None else w5.render(p)))
     axioms_ok = vrep.ok and w4 is None and w5 is None

@@ -13,14 +13,13 @@ the shorter tape and renders as "$".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .pree import UNDEF, Pree
 from .words import Word, render_word
 # equals_identity is no longer called here; it stays importable as fsa.equals_identity
-from .group import cayley_ball, contraction_solver, equals_identity, neighbor_pairs  # noqa: F401
+from .group import cayley_ball, contract_push, equals_identity, neighbor_pairs, stack_is_identity  # noqa: F401
 
 PAD = -2
 
@@ -396,37 +395,37 @@ class CombingTable:
     sprime: dict[tuple[int, int], frozenset]
     forbidden: frozenset
 
-    def bad(self, x: int, y: int, z: int) -> bool:
-        return (x, y, z) in self.forbidden
-
 
 def build_combing_table(p: Pree) -> CombingTable:
     """Tabulate the banned triples.
 
-    A triple (x, y, z) is banned when some c in sprime(x, y) has a
-    defined product c*z.
+    For sprime, each a b c with bc undefined is folded once, extended by
+    inv(y) and then inv(x), and judged by ``stack_is_identity``, whose
+    memo of folds up to four letters ``verify_short_identities`` fills.
+    A triple (x, y, z) is banned when some c in sprime(x, y) has a defined
+    product c*z.
     """
     letters = p.nonidentity()
-    is_identity = contraction_solver(p)
-    sprime: dict[tuple[int, int], frozenset] = {}
-    for x in letters:
-        for y in letters:
-            hits = set()
-            for a, b in itertools.product(letters, repeat=2):
-                for c in letters:
-                    if p.table[b][c] != UNDEF:
-                        continue
-                    if is_identity((a, b, c, p.inv[y], p.inv[x])):
-                        hits.add(c)
-            sprime[(x, y)] = frozenset(hits)
-    forbidden = set()
-    for (x, y), cs in sprime.items():
-        for z in letters:
-            for c in cs:
-                if p.table[c][z] != UNDEF:
-                    forbidden.add((x, y, z))
-                    break
-    return CombingTable(sprime=sprime, forbidden=frozenset(forbidden))
+    table, inv = p.table, p.inv
+    hits: dict[tuple[int, int], set] = {(x, y): set() for x in letters for y in letters}
+    for a in letters:
+        for b in letters:
+            ab = contract_push(table, (a,), b)
+            for c in letters:
+                if table[b][c] != UNDEF:
+                    continue
+                abc = contract_push(table, ab, c)
+                for y in letters:
+                    abcy = contract_push(table, abc, inv[y])
+                    for x in letters:
+                        if stack_is_identity(p, contract_push(table, abcy, inv[x])):
+                            hits[(x, y)].add(c)
+    sprime = {xy: frozenset(cs) for xy, cs in hits.items()}
+    forbidden = frozenset(
+        (x, y, z) for (x, y), cs in sprime.items() for z in letters
+        if any(table[c][z] != UNDEF for c in cs)
+    )
+    return CombingTable(sprime=sprime, forbidden=forbidden)
 
 
 def combing_acceptor(p: Pree) -> FiniteAutomaton:
@@ -449,7 +448,7 @@ def combing_acceptor(p: Pree) -> FiniteAutomaton:
         for y in p.elements():
             trans[(pend1(x), y)] = (pend2(x, y),)
             for z in p.elements():
-                if not table.bad(x, y, z):
+                if (x, y, z) not in table.forbidden:
                     trans[(pend2(x, y), z)] = (pend1(z),)
     windows = FiniteAutomaton(
         n_states, p.elements(), trans, [0], range(n_states)

@@ -12,9 +12,8 @@ fellow-traveler bound.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 # check_axiom is no longer called here; it stays importable as group.check_axiom
 from .pree import UNDEF, Pree, PreeError, VerificationReport, check_axiom  # noqa: F401
@@ -22,20 +21,13 @@ from .words import (
     Word,
     inverse_word,
     is_geodesic_word,
-    reduce_once,
     render_word,
     strongly_reduce,
 )
 
 
-def axiom_status(p: Pree):
-    """The table's (witness4, witness5) pair; None entries mean the axiom holds."""
-    return p.axiom_witnesses
-
-
 def axioms_hold(p: Pree) -> bool:
-    w4, w5 = axiom_status(p)
-    return w4 is None and w5 is None
+    return p.axiom_witnesses == (None, None)
 
 
 class AbelianObstruction:
@@ -200,28 +192,30 @@ def equals_identity(p: Pree, w: Word) -> bool:
     return reduced == (p.identity,)
 
 
-def contraction_solver(p: Pree) -> Callable[[Word], bool]:
-    """equals_identity for many words of at most five letters over one table.
+def contract_push(table, stack: Word, x: int) -> Word:
+    """Push ``x`` onto a stack with no defined adjacent pair, then combine
+    the top two letters while their product is defined.  Pushing a word's
+    letters in turn is repeated leftmost contraction."""
+    while stack:
+        c = table[stack[-1]][x]
+        if c == UNDEF:
+            break
+        stack, x = stack[:-1], c
+    return stack + (x,)
 
-    strongly_reduce always contracts the leftmost defined pair first, so a
-    word with a defined adjacent pair gets exactly the solver's verdict on
-    its leftmost contraction.  The returned function follows contractions
-    down and calls equals_identity only on words without one.  Verdicts of
-    words up to four letters are memoised; no contraction of a word of at
-    most five letters yields a five-letter word, so those are not kept.
-    """
-    memo: dict[Word, bool] = {}
 
-    def solve(w: Word) -> bool:
-        verdict = memo.get(w)
-        if verdict is None:
-            got = reduce_once(p, w)
-            verdict = solve(got[0]) if got else equals_identity(p, w)
-            if len(w) < 5:
-                memo[w] = verdict
-        return verdict
-
-    return solve
+def stack_is_identity(p: Pree, stack: Word) -> bool:
+    """equals_identity on a folded stack.  It is the verdict on every word
+    with that fold: strongly_reduce contracts the leftmost defined pair
+    before anything else.  Verdicts on stacks of at most four letters are
+    memoised per table; a five-letter stack is an irreducible word, met
+    once per sweep, and a sparse table has about (|P|-1)^5 of them."""
+    if len(stack) > 4:
+        return equals_identity(p, stack)
+    memo = p.derived("stack_verdicts", dict)
+    if stack not in memo:
+        memo[stack] = equals_identity(p, stack)
+    return memo[stack]
 
 
 @dataclass
@@ -418,36 +412,41 @@ def verify_embedding(p: Pree) -> VerificationReport:
     return r
 
 
-def verify_short_identities(p: Pree, oracle_bound: int = 8) -> VerificationReport:
+def verify_short_identities(p: Pree) -> VerificationReport:
     """Length 4 and 5 words that represent 1 must be reducible.
 
-    Identity is decided by the word solver when the short-cycle axioms
-    hold (the solver reduces by contractions and strips, so the
-    adjacency assertion below is still independent of it); otherwise by
-    the bounded oracle.
-
-    A word with a defined adjacent pair gets the solver's verdict on its
-    leftmost contraction, because strongly_reduce takes that contraction
-    first; contraction_solver uses this to run equals_identity only on
-    words without one.
+    Identity is decided by the word solver, so nothing is asserted unless
+    the short-cycle axioms hold; the solver also strips, so the adjacency
+    assertion stays independent of it.  Words of four letters are counted
+    per leftmost-contraction fold; each fold is then extended by every
+    letter, so a five-letter word gets the verdict on its fold without
+    the folds of five letters being stored.  A word is irreducible
+    exactly when its fold keeps all of its letters.
     """
     r = VerificationReport("short-identity-reducibility")
-    use_solver = axioms_hold(p)
-    solver_verdict = contraction_solver(p)
-    checked = 0
+    if not axioms_hold(p):
+        r.note("precondition unmet: a short-cycle axiom fails, nothing asserted")
+        return r
+    counts: dict[Word, int] = {(): 1}
+    for _ in range(4):
+        folded: dict[Word, int] = {}
+        for stack, k in counts.items():
+            for x in p.elements():
+                t = contract_push(p.table, stack, x)
+                folded[t] = folded.get(t, 0) + k
+        counts = folded
     hits = 0
-    for n in (4, 5):
-        for w in itertools.product(p.elements(), repeat=n):
-            checked += 1
-            if use_solver:
-                if not solver_verdict(w):
-                    continue
-            elif bfs_identity_oracle(p, w, length_bound=oracle_bound) is not True:
-                continue
-            hits += 1
-            if all(p.table[w[i]][w[i + 1]] == UNDEF for i in range(n - 1)):
-                r.problem("irreducible identity word: " + render_word(p, w))
-    r.note("words checked: %d, identity words found: %d" % (checked, hits))
+    irreducible: list[Word] = []
+    for s in sorted(counts):
+        # s folds counts[s] four-letter words; pushing x folds as many of five
+        for t, n in [(s, 4)] + [(contract_push(p.table, s, x), 5) for x in p.elements()]:
+            if stack_is_identity(p, t):
+                hits += counts[s]
+                if len(t) == n:
+                    irreducible.append(t)
+    for w in sorted(irreducible, key=len):  # stable, so word order within a length
+        r.problem("irreducible identity word: " + render_word(p, w))
+    r.note("words checked: %d, identity words found: %d" % (p.size**4 + p.size**5, hits))
     return r
 
 

@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -91,3 +92,45 @@ def all_words(p, length: int):
     for prefix in all_words(p, length - 1):
         for a in letters:
             yield prefix + (a,)
+
+
+def cyclic_pree(n, seed=0):
+    """Full table of Z_n, element ids shuffled by ``seed``."""
+    name = lambda k: "g%d" % k if k else "e"
+    order = [name(k) for k in range(1, n)]
+    random.Random(seed).shuffle(order)
+    lines = ["elements: e " + " ".join(order), "identity: e"]
+    lines += ["inverse: %s %s" % (name(k), name(n - k)) for k in range(1, n) if k < n - k]
+    lines += [
+        "product: %s %s %s" % (name(a), name(b), name((a + b) % n))
+        for a in range(1, n) for b in range(1, n) if (a + b) % n
+    ]
+    return load_pree("\n".join(lines) + "\n")
+
+
+def dihedral_subtable(n, seed, keep=0.1):
+    """Part of the table of the dihedral group of order 2n: each product is
+    kept with probability ``keep``, and load_pree adds the identity and
+    inverse laws and the triangle closure.  Such tables often break an
+    axiom, and their quotient products do not commute."""
+    rng = random.Random(seed)
+    els = [(f, k) for f in (0, 1) for k in range(n)]
+    name = lambda e: ("s%d" if e[0] else "r%d") % e[1]
+    mul = lambda x, y: ((x[0] + y[0]) % 2, ((-x[1] if y[0] else x[1]) + y[1]) % n)
+    inv = {e: next(f for f in els if mul(e, f) == (0, 0)) for e in els}
+    lines = ["elements: " + " ".join(map(name, els)), "identity: r0"]
+    lines += ["inverse: %s %s" % (name(e), name(inv[e])) for e in els]
+    lines += [
+        "product: %s %s %s" % (name(a), name(b), name(mul(a, b)))
+        for a in els for b in els if rng.random() < keep
+    ]
+    return load_pree("\n".join(lines) + "\n")
+
+
+def solver_tables():
+    """Fresh tables on which both short-cycle axioms hold: the five good
+    fixtures, full cyclic tables Z_5 to Z_10 and two partial dihedral tables."""
+    tables = [(name, load_fixture(name)) for name in ("zxz", "s3", "z6", "q8", "taxicab")]
+    tables += [("Z_%d" % n, cyclic_pree(n, seed=n)) for n in range(5, 11)]
+    tables += [("D_6/14", dihedral_subtable(6, 14, keep=0.3)), ("D_5/5", dihedral_subtable(5, 5, keep=0.2))]
+    return tables

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +58,45 @@ def test_validate_broken_table_mentions_closure():
     code, out, _ = _run(["validate", fixture_path("broken_closure")])
     assert code == 3
     assert "closure violation" in out
+
+
+GATED_COMMANDS = [
+    ["reduce", "a"],
+    ["solve", "a"],
+    ["geodesic", "a"],
+    ["comb"],
+    ["ball", "-r", "1"],
+    ["fellow", "-r", "2", "-k", "3"],
+    ["diagram", "--boundary", "a ia"],
+    ["export-fsa", "--which", "geodesic"],
+]
+
+
+@pytest.mark.parametrize("argv", GATED_COMMANDS, ids=[c[0] for c in GATED_COMMANDS])
+def test_commands_that_trust_the_table_reject_an_invalid_one(argv):
+    path = fixture_path("broken_closure")
+    first_problem = _run(["validate", path, "--format", "records"])[1].splitlines()[2]
+    assert first_problem.startswith("problem\t")
+    code, out, err = _run([argv[0], path] + argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err == "error: %s: %s\n" % (path, first_problem[len("problem\t"):])
+
+
+def test_cli_import_leaves_diagrams_unloaded():
+    script = (
+        "import sys, preekit.cli\n"
+        "assert 'preekit.diagrams' not in sys.modules\n"
+        "import preekit\n"
+        "ns = {}\n"
+        "exec('from preekit import *', ns)\n"
+        "assert len(preekit.__all__) == 27 and all(n in ns for n in preekit.__all__)\n"
+        "assert preekit.diagrams.find_minimal_diagram is ns['find_minimal_diagram']\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    got = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
 
 
 def test_usage_errors():

@@ -8,7 +8,8 @@ supposed to match.
 import itertools
 import random
 
-from conftest import all_words
+from conftest import all_words, load_fixture, solver_tables
+from preekit import group
 from preekit.fsa import (
     PAD,
     FailureWitness,
@@ -23,7 +24,8 @@ from preekit.fsa import (
     strip_reduction_pair_recognizer,
     word_difference_machine,
 )
-from preekit.group import cayley_ball, equals_identity
+from preekit.group import cayley_ball, equals_identity, verify_short_identities
+from preekit.pree import UNDEF
 from preekit.words import find_strip, is_geodesic_word, parse_word, strip_reduce_once
 
 
@@ -187,15 +189,30 @@ def test_combing_is_a_sublanguage_of_geodesics(zxz):
     assert len(comb.enumerate_words(2)) == 25
 
 
-def test_combing_table_matches_per_word_solver(zxz):
-    letters = zxz.nonidentity()
-    want = {}
-    for x, y in itertools.product(letters, repeat=2):
-        want[(x, y)] = frozenset(
-            c for a, b, c in itertools.product(letters, repeat=3)
-            if zxz.table[b][c] == -1 and equals_identity(zxz, (a, b, c, zxz.inv[y], zxz.inv[x]))
-        )
-    assert build_combing_table(zxz).sprime == want
+def test_combing_table_matches_per_word_solver():
+    for name, p in solver_tables():
+        letters = p.nonidentity()
+        want = {}
+        for x, y in itertools.product(letters, repeat=2):
+            want[(x, y)] = frozenset(
+                c for a, b, c in itertools.product(letters, repeat=3)
+                if p.table[b][c] == UNDEF and equals_identity(p, (a, b, c, p.inv[y], p.inv[x]))
+            )
+        assert build_combing_table(p).sprime == want, name
+
+
+def test_combing_table_reads_verdicts_left_by_the_sweep(monkeypatch):
+    p = load_fixture("zxz")
+    verify_short_identities(p)
+    calls = []
+    solver = group.equals_identity
+    monkeypatch.setattr(group, "equals_identity", lambda q, w: calls.append(w) or solver(q, w))
+    got = build_combing_table(p)
+    # only five-letter folds, which the sweep does not keep, are judged again
+    assert len(calls) == len(set(calls)) == 486
+    assert all(len(w) == 5 for w in calls)
+    monkeypatch.undo()
+    assert got == build_combing_table(load_fixture("zxz"))
 
 
 def test_word_difference_machine_small(zxz):

@@ -12,7 +12,17 @@ import weakref
 
 import pytest
 
-from conftest import all_words, fixture_path, load_fixture, table_fold, zxz_distance, zxz_vector
+from conftest import (
+    all_words,
+    cyclic_pree,
+    dihedral_subtable,
+    fixture_path,
+    load_fixture,
+    solver_tables,
+    table_fold,
+    zxz_distance,
+    zxz_vector,
+)
 from preekit import cli, group, pree
 from preekit.fsa import combing_acceptor
 from preekit.group import (
@@ -28,7 +38,7 @@ from preekit.group import (
     verify_short_identities,
     verify_surjectivity,
 )
-from preekit.pree import UNDEF, AxiomWitness, PreeError, VerificationReport, check_axiom, load_pree
+from preekit.pree import UNDEF, AxiomWitness, PreeError, VerificationReport, check_axiom
 from preekit.words import parse_word, render_word
 
 
@@ -43,39 +53,6 @@ def _free_reduce(p, w):
         else:
             out.append(a)
     return tuple(out)
-
-
-def _cyclic_pree(n, seed=0):
-    """Full table of Z_n, element ids shuffled by ``seed``."""
-    name = lambda k: "g%d" % k if k else "e"
-    order = [name(k) for k in range(1, n)]
-    random.Random(seed).shuffle(order)
-    lines = ["elements: e " + " ".join(order), "identity: e"]
-    lines += ["inverse: %s %s" % (name(k), name(n - k)) for k in range(1, n) if k < n - k]
-    lines += [
-        "product: %s %s %s" % (name(a), name(b), name((a + b) % n))
-        for a in range(1, n) for b in range(1, n) if (a + b) % n
-    ]
-    return load_pree("\n".join(lines) + "\n")
-
-
-def _dihedral_subtable(n, seed, keep=0.1):
-    """Part of the table of the dihedral group of order 2n: each product is
-    kept with probability ``keep``, and load_pree adds the identity and
-    inverse laws and the triangle closure.  Such tables often break an
-    axiom, and their quotient products do not commute."""
-    rng = random.Random(seed)
-    els = [(f, k) for f in (0, 1) for k in range(n)]
-    name = lambda e: ("s%d" if e[0] else "r%d") % e[1]
-    mul = lambda x, y: ((x[0] + y[0]) % 2, ((-x[1] if y[0] else x[1]) + y[1]) % n)
-    inv = {e: next(f for f in els if mul(e, f) == (0, 0)) for e in els}
-    lines = ["elements: " + " ".join(map(name, els)), "identity: r0"]
-    lines += ["inverse: %s %s" % (name(e), name(inv[e])) for e in els]
-    lines += [
-        "product: %s %s %s" % (name(a), name(b), name(mul(a, b)))
-        for a in els for b in els if rng.random() < keep
-    ]
-    return load_pree("\n".join(lines) + "\n")
 
 
 ALL_FIXTURES = ("zxz", "s3", "z6", "q8", "taxicab", "cycle4", "cycle5", "broken_closure")
@@ -131,14 +108,16 @@ def _axiom_outcome(search, p, n):
 
 
 def _reference_short_identities(p):
-    """The per-word loop: one solver call for every word of length 4 and 5."""
+    """The per-word loop: one solver call for every word of length 4 and 5.
+
+    The solver is looked up on the module, so a test's patch reaches it."""
     r = VerificationReport("short-identity-reducibility")
     checked = 0
     hits = 0
     for n in (4, 5):
         for w in itertools.product(p.elements(), repeat=n):
             checked += 1
-            if not equals_identity(p, w):
+            if not group.equals_identity(p, w):
                 continue
             hits += 1
             if all(p.table[w[i]][w[i + 1]] == UNDEF for i in range(n - 1)):
@@ -188,8 +167,8 @@ def test_check_axiom_rejects_other_lengths(zxz):
 
 def test_check_axiom_matches_unpruned_search():
     tables = [(name, load_fixture(name)) for name in ALL_FIXTURES]
-    tables += [("Z_%d" % n, _cyclic_pree(n, seed=n)) for n in range(5, 11)]
-    tables += [("D_6/%d" % seed, _dihedral_subtable(6, seed)) for seed in range(10)]
+    tables += [("Z_%d" % n, cyclic_pree(n, seed=n)) for n in range(5, 11)]
+    tables += [("D_6/%d" % seed, dihedral_subtable(6, seed)) for seed in range(10)]
     for name, p in tables:
         for n in (4, 5):
             want = _axiom_outcome(_reference_check_axiom, p, n)
@@ -407,11 +386,47 @@ def test_verify_short_identities(zxz, s3, taxicab):
         assert rep.ok, rep.problems
 
 
-def test_short_identities_match_per_word_solver(zxz, s3, z6, q8, taxicab):
-    for p in (zxz, s3, z6, q8, taxicab, _cyclic_pree(7)):
-        assert axioms_hold(p)
+def test_short_identities_match_per_word_solver():
+    for name, p in solver_tables():
+        assert axioms_hold(p), name
         got, want = verify_short_identities(p), _reference_short_identities(p)
-        assert (got.ok, got.problems, got.notes) == (want.ok, want.problems, want.notes)
+        assert (got.ok, got.problems, got.notes) == (want.ok, want.problems, want.notes), name
+
+
+def test_short_identities_list_irreducible_words_in_word_order(monkeypatch):
+    """With every irreducible 4- and 5-letter word called the identity, the
+    report lists the same words in the same order as the per-word loop."""
+    solver = group.equals_identity
+
+    def patched(p, w):
+        if len(w) in (4, 5) and all(p.table[a][b] == UNDEF for a, b in zip(w, w[1:])):
+            return True
+        return solver(p, w)
+
+    monkeypatch.setattr(group, "equals_identity", patched)
+    for name in ("zxz", "taxicab"):
+        # fresh tables: the patched verdicts go into the table's memo
+        got = verify_short_identities(load_fixture(name))
+        want = _reference_short_identities(load_fixture(name))
+        assert got.problems, name
+        assert got.problems == want.problems, name
+
+
+def test_short_identity_sweep_keeps_no_five_letter_folds():
+    """A sparse table has about (|P|-1)^5 five-letter folds; the memo must
+    hold only folds of up to four letters."""
+    p = load_fixture("taxicab")
+    verify_short_identities(p)
+    memo = p.derived("stack_verdicts", dict)
+    assert max(map(len, memo)) == 4
+    assert len(memo) <= sum((p.size - 1) ** n for n in range(1, 5))
+
+
+def test_verify_short_identities_asserts_nothing_without_axioms(cycle4, cycle5):
+    for p in (cycle4, cycle5):
+        rep = verify_short_identities(p)
+        assert rep.ok and not rep.problems
+        assert rep.notes == ["precondition unmet: a short-cycle axiom fails, nothing asserted"]
 
 
 def test_verify_surjectivity(zxz, s3):
