@@ -369,6 +369,14 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _count(text: str) -> int:
+    """argparse type for counts and bounds: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be non-negative, got %d" % n)
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="preekit",
@@ -398,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("pree")
     s.add_argument("word")
     s.add_argument("--oracle", action="store_true", help="also run the bounded search oracle")
-    s.add_argument("--bound", type=int, default=8, help="oracle length bound")
+    s.add_argument("--bound", type=_count, default=8, help="oracle length bound")
     s.set_defaults(func=cmd_solve)
 
     s = sub.add_parser("geodesic", parents=[common], help="test geodesic acceptor membership")
@@ -408,25 +416,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("comb", parents=[common], help="enumerate the combed language")
     s.add_argument("pree")
-    s.add_argument("--enumerate", type=int, default=6, metavar="N", help="maximum length")
+    s.add_argument("--enumerate", type=_count, default=6, metavar="N", help="maximum length")
     s.set_defaults(func=cmd_comb)
 
     s = sub.add_parser("ball", parents=[common], help="breadth-first ball of the word metric")
     s.add_argument("pree")
-    s.add_argument("-r", "--radius", type=int, required=True)
+    s.add_argument("-r", "--radius", type=_count, required=True)
     s.add_argument("--out", help="also write the rows to a file")
     s.set_defaults(func=cmd_ball)
 
     s = sub.add_parser("fellow", parents=[common], help="synchronous fellow-traveler check")
     s.add_argument("pree")
-    s.add_argument("-r", "--radius", type=int, required=True)
-    s.add_argument("-k", type=int, required=True, help="separation target")
+    s.add_argument("-r", "--radius", type=_count, required=True)
+    s.add_argument("-k", type=_count, required=True, help="separation target")
     s.set_defaults(func=cmd_fellow)
 
     s = sub.add_parser("diagram", parents=[common], help="smallest diagram for a boundary word")
     s.add_argument("pree")
     s.add_argument("--boundary", required=True, metavar="WORD")
-    s.add_argument("--max-area", type=int, default=12)
+    s.add_argument("--max-area", type=_count, default=12)
     s.add_argument("--dot", metavar="FILE", help="write the diagram as DOT")
     s.set_defaults(func=cmd_diagram)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .pree import UNDEF, Pree
-from .words import Word, render_word
+from .words import Word, render_word, strip_masks
 # equals_identity is no longer called here; it stays importable as fsa.equals_identity
 from .group import cayley_ball, contract_push, equals_identity, neighbor_pairs, stack_is_identity  # noqa: F401
 
@@ -240,6 +240,8 @@ class FiniteAutomaton:
 
     def enumerate_words(self, max_len: int) -> list[tuple]:
         """Accepted words of length <= max_len in length-lex order."""
+        if max_len < 0:
+            return []
         live = self._coaccessible()
         out: list[tuple] = []
         start = frozenset(self.initial) & live
@@ -338,13 +340,16 @@ def strip_reduction_pair_recognizer(p: Pree) -> FiniteAutomaton:
     States: 0 copies the common prefix; 1+d carries the last diagonal
     of a strip in progress; after the strip, v runs one letter behind u
     (states 1+size+e expect u to emit e next); the final state pairs
-    u's last letter with the pad.
+    u's last letter with the pad.  A strip opens on the diagonals in
+    ``right`` and moves along ``step`` of ``words.strip_masks``.
     """
     size = p.size
     copy, accept = 0, 1 + 2 * size
     strip = lambda d: 1 + d
     expect = lambda e: 1 + size + e
     table, inv = p.table, p.inv
+    right, step, _ = strip_masks(p)
+    bits = lambda mask: (d for d in p.elements() if mask >> d & 1)
     trans: dict = {}
 
     def add(s, sym, t):
@@ -353,20 +358,14 @@ def strip_reduction_pair_recognizer(p: Pree) -> FiniteAutomaton:
     for x in p.elements():
         add(copy, (x, x), copy)
     for a in p.elements():
-        for d in p.elements():
-            c = table[a][d]
-            if c != UNDEF:
-                add(copy, (a, c), strip(d))
+        for d in bits(right[a]):
+            add(copy, (a, table[a][d]), strip(d))
     for d in p.elements():
         for a in p.elements():
-            g = table[inv[a]][d]
-            if g == UNDEF:
-                continue
-            for c in p.elements():
-                t = table[g][c]
-                if t != UNDEF:
-                    add(strip(d), (a, c), strip(t))
-                    add(strip(d), (a, c), expect(t))
+            for e in bits(step[a][d]):
+                c = table[inv[table[inv[a]][d]]][e]
+                add(strip(d), (a, c), strip(e))
+                add(strip(d), (a, c), expect(e))
     for e in p.elements():
         for y in p.elements():
             add(expect(e), (e, y), expect(y))

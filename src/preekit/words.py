@@ -100,122 +100,99 @@ class StripWitness:
             raise PreeError("strip witness: last triangle fails")
 
 
-def _strip_dp(p: Pree, a: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Diagonals and output for a strip covering all of ``a``, or None.
+def strip_masks(p: Pree) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """The strip relation as bitmasks over diagonals, built once per table.
 
-    Among all witnesses the lexicographically smallest diagonal sequence
-    is chosen.  Backward viability sets are computed first so the greedy
-    forward walk cannot dead-end.
+    ``right[x]`` holds the diagonals d for which x*d is defined: the
+    first triangle of a strip on top letter x.  ``step[a][d]`` holds the
+    diagonals e for which g = inv(a)*d and inv(g)*e are defined: a strip
+    on d crosses the top letter a onto e and emits the letter inv(g)*e.
+    ``close[a][b]`` holds the diagonals d whose ``step[a][d]`` holds b,
+    so that a strip on d closes on the top letters a b.  These three
+    tables are the only encoding of the relation; the strip search, its
+    witness and the pair recognizer all read them.
     """
-    n = len(a)
-    table = p.table
-    inv = p.inv
-    elems = range(p.size)
 
-    last = [False] * p.size
-    an1 = a[n - 1]
-    ian2 = inv[a[n - 2]]
-    for d in elems:
-        g = table[ian2][d]
-        if g != UNDEF and table[inv[g]][an1] != UNDEF:
-            last[d] = True
-    viable = [last]
+    def build():
+        table, inv, elems = p.table, p.inv, p.elements()
+        right = [sum(1 << d for d in elems if row[d] != UNDEF) for row in table]
+        step = [
+            [0 if (g := table[inv[a]][d]) == UNDEF else right[inv[g]] for d in elems]
+            for a in elems
+        ]
+        close = [[sum(1 << d for d in elems if row[d] >> b & 1) for b in elems] for row in step]
+        return right, step, close
+
+    return p.derived("strip_masks", build)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _witness(p: Pree, start: int, top: Word, cols: list[int]) -> StripWitness:
+    """The diagonal-minimal witness of a strip covering ``top``.
+
+    ``cols[j]`` holds the diagonals d_{j+1} reachable from the left.  A
+    backward pass keeps the live ones, those from which the strip still
+    closes; walking forward, the lowest live successor is always taken.
+    """
+    _, step, close = strip_masks(p)
+    table, inv = p.table, p.inv
+    n = len(top)
+    live = [0] * (n - 2)
+    live[-1] = cols[-1] & close[top[-2]][top[-1]]
     for j in range(n - 4, -1, -1):
-        nxt = viable[0]
-        ia = inv[a[j + 1]]
-        cur = [False] * p.size
-        for d in elems:
-            g = table[ia][d]
-            if g == UNDEF:
-                continue
-            ig = inv[g]
-            row = table[ig]
-            for d2 in elems:
-                if nxt[d2] and row[d2] != UNDEF:
-                    cur[d] = True
-                    break
-        viable.insert(0, cur)
-
-    a0 = a[0]
-    first = None
-    for d in elems:
-        if viable[0][d] and table[a0][d] != UNDEF:
-            first = d
-            break
-    if first is None:
-        return None
-
-    diagonals = [first]
-    output = [table[a0][first]]
+        row, nxt, col, keep = step[top[j + 1]], live[j + 1], cols[j], 0
+        while col:
+            low = col & -col
+            if row[low.bit_length() - 1] & nxt:
+                keep |= low
+            col ^= low
+        live[j] = keep
+    d = _lowest(live[0])
+    diagonals, output = [d], [table[top[0]][d]]
     for j in range(1, n - 2):
-        g = table[inv[a[j]]][diagonals[j - 1]]
-        ig = inv[g]
-        row = table[ig]
-        for d in elems:
-            if viable[j][d] and row[d] != UNDEF:
-                diagonals.append(d)
-                output.append(row[d])
-                break
-    g = table[inv[a[n - 2]]][diagonals[n - 3]]
-    output.append(table[inv[g]][a[n - 1]])
-    return tuple(diagonals), tuple(output)
+        g = table[inv[top[j]]][d]
+        d = _lowest(step[top[j]][d] & live[j])
+        diagonals.append(d)
+        output.append(table[inv[g]][d])
+    g = table[inv[top[-2]]][d]
+    output.append(table[inv[g]][top[-1]])
+    return StripWitness(start=start, top=top, diagonals=tuple(diagonals), output=tuple(output))
 
 
 def find_strip(p: Pree, w: Word) -> Optional[StripWitness]:
     """Leftmost, then shortest, then diagonal-minimal strip in ``w``.
 
-    Feasibility is decided with forward viability sets grown one column
-    at a time, so each start position costs one sweep instead of one
-    dynamic program per substring; the full program runs only on the
-    matched substring to pick the diagonal-minimal witness.
+    From each start one int per column holds the diagonals reachable so
+    far (``strip_masks``): the next column is the OR of ``step`` over the
+    set bits of the current one, and the shortest strip ends at the
+    first column that meets ``close`` of the next two letters.  The
+    kept columns then give the diagonal-minimal witness.
     """
+    right, step, close = strip_masks(p)
     m = len(w)
-    table = p.table
-    inv = p.inv
-    size = p.size
-    elems = range(size)
     for start in range(m - 2):
-        a0 = w[start]
-        row0 = table[a0]
-        cur = [row0[d] != UNDEF for d in elems]
-        if not any(cur):
-            continue
-        # cur holds the viable diagonals entering column j; the strip of
-        # length n ends the moment its last letter closes off a diagonal
+        cur = right[w[start]]
+        cols = [cur]
+        # cur holds the diagonals entering column n - 2 of a strip of
+        # length n, which closes the moment cur meets close[a][b]
         for n in range(3, m - start + 1):
-            an2, an1 = w[start + n - 2], w[start + n - 1]
-            ian2 = inv[an2]
-            done = False
-            for d in elems:
-                if not cur[d]:
-                    continue
-                g = table[ian2][d]
-                if g != UNDEF and table[inv[g]][an1] != UNDEF:
-                    done = True
-                    break
-            if done:
-                top = w[start : start + n]
-                got = _strip_dp(p, top)
-                return StripWitness(start=start, top=top, diagonals=got[0], output=got[1])
+            a = w[start + n - 2]
+            if cur & close[a][w[start + n - 1]]:
+                return _witness(p, start, w[start : start + n], cols)
             if start + n == m:
                 break
-            ia = ian2
-            nxt = [False] * size
-            alive = False
-            for d in elems:
-                if not cur[d]:
-                    continue
-                g = table[ia][d]
-                if g == UNDEF:
-                    continue
-                row = table[inv[g]]
-                for d2 in elems:
-                    if row[d2] != UNDEF:
-                        nxt[d2] = True
-                        alive = True
-            if not alive:
+            row, nxt = step[a], 0
+            while cur:
+                low = cur & -cur
+                nxt |= row[low.bit_length() - 1]
+                cur ^= low
+            if not nxt:
                 break
             cur = nxt
+            cols.append(cur)
     return None
 
 

@@ -83,6 +83,24 @@ def test_commands_that_trust_the_table_reject_an_invalid_one(argv):
     assert err == "error: %s: %s\n" % (path, first_problem[len("problem\t"):])
 
 
+NEGATIVE_COUNTS = [
+    ["ball", "-r", "-1"],
+    ["fellow", "-r", "-1", "-k", "3"],
+    ["fellow", "-r", "2", "-k", "-1"],
+    ["comb", "--enumerate", "-1"],
+    ["solve", "(1,0)", "--oracle", "--bound", "-1"],
+    ["diagram", "--boundary", "(1,0) (-1,0)", "--max-area", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_COUNTS, ids=[" ".join(c) for c in NEGATIVE_COUNTS])
+def test_negative_counts_are_usage_errors(argv):
+    code, out, err = _run([argv[0], fixture_path("zxz")] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "must be non-negative, got -1" in err
+
+
 def test_cli_import_leaves_diagrams_unloaded():
     script = (
         "import sys, preekit.cli\n"

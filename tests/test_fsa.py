@@ -93,6 +93,10 @@ def test_enumerate_words_is_length_lex_and_complete():
         assert got == want
 
 
+def test_enumerate_words_below_length_zero_is_empty():
+    assert FiniteAutomaton(1, "a", {}, [0], [0]).enumerate_words(-1) == []
+
+
 def test_minimize_is_idempotent():
     rng = random.Random(41)
     for _ in range(10):
