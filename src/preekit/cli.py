@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success or property true; 1 property false or a
-counterexample was found; 2 usage error (including unparseable words);
-3 invalid pree input.  Output is deterministic: identical invocations
+counterexample was found; 2 usage error (including unparseable words)
+or a library refusal, such as the word solver's precondition; 3 invalid
+pree input.  Output is deterministic: identical invocations
 print identical bytes.
 """
 
@@ -190,8 +191,6 @@ def cmd_geodesic(args) -> int:
 
 def cmd_comb(args) -> int:
     p = _load_valid(args.pree)
-    if not axioms_hold(p):
-        raise _fail(2, "the combed language needs the short-cycle axioms")
     acc = combing_acceptor(p)
     words = acc.enumerate_words(args.enumerate)
     if args.format == "records":
@@ -229,8 +228,6 @@ def cmd_ball(args) -> int:
 
 def cmd_fellow(args) -> int:
     p = _load_valid(args.pree)
-    if not axioms_hold(p):
-        raise _fail(2, "fellow traveling needs the short-cycle axioms")
     rep = fellow_traveler_check(p, combing_acceptor(p), args.radius, args.k)
     if args.format == "records":
         lines = [
@@ -254,10 +251,7 @@ def cmd_diagram(args) -> int:
     from .diagrams import curvature_check, diagram_stats, diagram_to_dot, find_minimal_diagram
     p = _load_valid(args.pree)
     w = _word(p, args.boundary)
-    try:
-        d = find_minimal_diagram(p, w, max_area=args.max_area)
-    except PreeError as exc:
-        raise _fail(2, str(exc))
+    d = find_minimal_diagram(p, w, max_area=args.max_area)
     fmt = args.format
     rec = fmt == "records"
     lines = [_row(fmt, "boundary", _show(p, w))]
@@ -292,8 +286,6 @@ def cmd_export_fsa(args) -> int:
     if args.which == "geodesic":
         m = geodesic_acceptor(p)
     elif args.which == "combing":
-        if not axioms_hold(p):
-            raise _fail(2, "the combed language needs the short-cycle axioms")
         m = combing_acceptor(p)
     else:
         m = strip_reduction_pair_recognizer(p)
@@ -326,7 +318,7 @@ def cmd_verify(args) -> int:
     w4, w5 = p.axiom_witnesses
     rows.append(("axiom-4-cycles", w4 is None, "" if w4 is None else w4.render(p)))
     rows.append(("axiom-5-cycles", w5 is None, "" if w5 is None else w5.render(p)))
-    axioms_ok = vrep.ok and w4 is None and w5 is None
+    axioms_ok = axioms_hold(p)
     emb = verify_embedding(p)
     rows.append(("embedding", emb.ok, "" if emb.ok else emb.problems[0]))
     if axioms_ok:
@@ -462,6 +454,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except _Exit as exc:
         return exc.code
+    except PreeError as exc:
+        # the one path for a library refusal that no command handles itself
+        return _fail(2, str(exc)).code
 
 
 if __name__ == "__main__":

@@ -279,77 +279,6 @@ def _rebuild(
     return Diagram(p, len(vmap), tuple(new_edges), tuple(new_faces), tuple(new_boundary))
 
 
-def remove_boundary_triangle(d: Diagram, face_index: int) -> Diagram:
-    """Inverse of attach_triangle for a face touching the boundary."""
-    if d.area < 2:
-        raise DiagramError("cannot remove the only face")
-    face = d.faces[face_index]
-    bpos = {}
-    for k, s in enumerate(face):
-        opp = (s[0], not s[1])
-        for q, bs in enumerate(d.boundary):
-            if bs == opp:
-                bpos[k] = q
-    faces = [f for i, f in enumerate(d.faces) if i != face_index]
-    n = len(d.boundary)
-    if len(bpos) == 1:
-        # one shared edge: delete it, its face's other sides are exposed
-        (k, q), = bpos.items()
-        t = d.side_head(face[(k + 1) % 3])
-        if t in d.boundary_vertices():
-            raise DiagramError("removal would pinch the boundary at a shared vertex")
-        repl = [face[(k + 1) % 3], face[(k + 2) % 3]]
-        boundary = list(d.boundary[:q]) + repl + list(d.boundary[q + 1 :])
-        out = _rebuild(d.pree, d.n_vertices, list(d.edges), faces, boundary, set(), {face[k][0]})
-    elif len(bpos) == 2:
-        ks = sorted(bpos)
-        qa, qb = bpos[ks[0]], bpos[ks[1]]
-        if (qa + 1) % n == qb:
-            first_k, first_q = ks[0], qa
-        elif (qb + 1) % n == qa:
-            first_k, first_q = ks[1], qb
-        else:
-            raise DiagramError("shared edges are not consecutive on the boundary")
-        # face sides k, k+1 are the two shared ones in boundary order?
-        # boundary runs opposite to the face, so boundary order (qa,qb)
-        # corresponds to face sides (k+1, k).
-        k2 = (first_k - 1) % 3  # second shared face side
-        if (face[k2][0], not face[k2][1]) != d.boundary[(first_q + 1) % n]:
-            raise DiagramError("shared edges are not consecutive on the boundary")
-        mid = d.side_head(d.boundary[first_q])
-        deg = d.degrees()
-        if deg[mid] != 2:
-            raise DiagramError("middle vertex has extra edges")
-        third = face[(first_k + 1) % 3]
-        if (first_q + 1) % n == 0:
-            boundary = [third] + list(d.boundary[1 : n - 1])
-        else:
-            boundary = list(d.boundary[:first_q]) + [third] + list(d.boundary[first_q + 2 :])
-        out = _rebuild(
-            d.pree,
-            d.n_vertices,
-            list(d.edges),
-            faces,
-            boundary,
-            {mid},
-            {face[first_k][0], face[k2][0]},
-        )
-    else:
-        raise DiagramError("face does not meet the boundary in 1 or 2 edges")
-    return out
-
-
-def removable_boundary_faces(d: Diagram) -> list[int]:
-    out = []
-    for i in range(len(d.faces)):
-        try:
-            remove_boundary_triangle(d, i)
-        except DiagramError:
-            continue
-        out.append(i)
-    return out
-
-
 def diagram_from_strip(p: Pree, witness: StripWitness) -> Diagram:
     """Strip gallery as a diagram: boundary reads top then inverse output."""
     a = witness.top

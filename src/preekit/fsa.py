@@ -19,7 +19,9 @@ from typing import Callable, Iterable, Union
 from .pree import UNDEF, Pree
 from .words import Word, render_word, strip_masks
 # equals_identity is no longer called here; it stays importable as fsa.equals_identity
-from .group import cayley_ball, contract_push, equals_identity, neighbor_pairs, stack_is_identity  # noqa: F401
+from .group import (  # noqa: F401
+    cayley_ball, contract_push, equals_identity, neighbor_pairs, require_solver, stack_is_identity,
+)
 
 PAD = -2
 
@@ -299,20 +301,12 @@ def fsa_to_dot(m: FiniteAutomaton, name: Callable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def irreducible_acceptor(p: Pree) -> FiniteAutomaton:
-    """Words with no adjacent defined product, the empty word included.
-
-    State 0 starts; state 1+x means the last letter was x.  The word
-    "1" is accepted: a lone identity letter has no adjacent pair.
-    """
-    return _irreducible(p, allow_word_one=True)
-
-
-def _irreducible(p: Pree, allow_word_one: bool) -> FiniteAutomaton:
+def _irreducible(p: Pree) -> FiniteAutomaton:
+    """Words with no identity letter and no adjacent defined product, the
+    empty word included.  State 0 starts; state 1+x means the last letter was x."""
     trans: dict = {}
-    for x in p.elements():
-        if allow_word_one or x != p.identity:
-            trans[(0, x)] = (1 + x,)
+    for x in p.nonidentity():
+        trans[(0, x)] = (1 + x,)
     for x in p.elements():
         for y in p.elements():
             if p.table[x][y] == UNDEF:
@@ -378,7 +372,7 @@ def geodesic_acceptor(p: Pree) -> FiniteAutomaton:
     pair = strip_reduction_pair_recognizer(p)
     has_strip = pair.map_symbols(lambda s: s[0] if s[0] != PAD else None)
     no_strip = has_strip.determinize().complement()
-    irr = _irreducible(p, allow_word_one=False)
+    irr = _irreducible(p)
     return irr.intersect(no_strip).minimize()
 
 
@@ -402,8 +396,9 @@ def build_combing_table(p: Pree) -> CombingTable:
     inv(y) and then inv(x), and judged by ``stack_is_identity``, whose
     memo of folds up to four letters ``verify_short_identities`` fills.
     A triple (x, y, z) is banned when some c in sprime(x, y) has a defined
-    product c*z.
+    product c*z.  Refuses unless the word solver may run on ``p``.
     """
+    require_solver(p)
     letters = p.nonidentity()
     table, inv = p.table, p.inv
     hits: dict[tuple[int, int], set] = {(x, y): set() for x in letters for y in letters}

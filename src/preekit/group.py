@@ -27,7 +27,14 @@ from .words import (
 
 
 def axioms_hold(p: Pree) -> bool:
-    return p.axiom_witnesses == (None, None)
+    """True when the word solver may run: ``Pree.solver_problem`` is None."""
+    return p.solver_problem is None
+
+
+def require_solver(p: Pree) -> None:
+    """Raise PreeError, with the reason, unless the word solver may run."""
+    if p.solver_problem is not None:
+        raise PreeError("the word solver needs a valid table and the short-cycle axioms; " + p.solver_problem)
 
 
 class AbelianObstruction:
@@ -91,18 +98,6 @@ class AbelianObstruction:
                 v[self.index[a]] += 1
         return tuple(v)
 
-    def lattice_contains(self, vec: tuple[int, ...]) -> bool:
-        v = list(vec)
-        for r, col in self.pivots:
-            if v[r] == 0:
-                continue
-            if v[r] % col[r] != 0:
-                return False
-            q = v[r] // col[r]
-            for i in range(len(v)):
-                v[i] -= q * col[i]
-        return not any(v)
-
     def residue(self, w: Word) -> tuple[int, ...]:
         """Canonical representative of vector(w) modulo the lattice.
 
@@ -118,7 +113,8 @@ class AbelianObstruction:
         return tuple(v)
 
     def might_be_identity(self, w: Word) -> bool:
-        return self.lattice_contains(self.vector(w))
+        # the pivots are in echelon form, so the lattice is the residue-zero vectors
+        return not any(self.residue(w))
 
 
 def abelian_obstruction(p: Pree) -> AbelianObstruction:
@@ -178,16 +174,12 @@ def bfs_identity_oracle(
 def equals_identity(p: Pree, w: Word) -> bool:
     """Dehn-style decision: reduce strongly, compare with the word 1.
 
-    Only valid when the short-cycle axioms hold, which each table
-    decides once (``Pree.axiom_witnesses``).
+    Refuses unless ``Pree.solver_problem`` is None; bfs_identity_oracle
+    needs no precondition.
     """
     if len(w) == 0:
         raise PreeError("empty word")
-    if not axioms_hold(p):
-        raise PreeError(
-            "word problem solver requires the short-cycle axioms; "
-            "use bfs_identity_oracle instead"
-        )
+    require_solver(p)
     reduced, _ = strongly_reduce(p, w)
     return reduced == (p.identity,)
 
@@ -273,8 +265,7 @@ def cayley_ball(
 
 def _build_ball(p: Pree, radius: int, method: str, element_cap: int) -> CayleyBall:
     if method == "dehn":
-        if not axioms_hold(p):
-            raise PreeError("dehn ball needs the short-cycle axioms; use method='oracle'")
+        require_solver(p)
 
         def same(u: Word, v: Word) -> bool:
             return equals_identity(p, u + inverse_word(p, v))
@@ -383,8 +374,8 @@ def _build_ball(p: Pree, radius: int, method: str, element_cap: int) -> CayleyBa
 def verify_embedding(p: Pree) -> VerificationReport:
     """Letters stay distinct, products hold, undefined pairs stay apart."""
     r = VerificationReport("embedding")
-    if not axioms_hold(p):
-        r.note("precondition unmet: a short-cycle axiom fails, nothing asserted")
+    if p.solver_problem is not None:
+        r.note("precondition unmet: %s, nothing asserted" % p.solver_problem)
         return r
     letters = list(p.elements())
     for a in letters:
@@ -416,7 +407,7 @@ def verify_short_identities(p: Pree) -> VerificationReport:
     """Length 4 and 5 words that represent 1 must be reducible.
 
     Identity is decided by the word solver, so nothing is asserted unless
-    the short-cycle axioms hold; the solver also strips, so the adjacency
+    ``Pree.solver_problem`` is None; the solver also strips, so the adjacency
     assertion stays independent of it.  Words of four letters are counted
     per leftmost-contraction fold; each fold is then extended by every
     letter, so a five-letter word gets the verdict on its fold without
@@ -424,8 +415,8 @@ def verify_short_identities(p: Pree) -> VerificationReport:
     exactly when its fold keeps all of its letters.
     """
     r = VerificationReport("short-identity-reducibility")
-    if not axioms_hold(p):
-        r.note("precondition unmet: a short-cycle axiom fails, nothing asserted")
+    if p.solver_problem is not None:
+        r.note("precondition unmet: %s, nothing asserted" % p.solver_problem)
         return r
     counts: dict[Word, int] = {(): 1}
     for _ in range(4):

@@ -11,7 +11,8 @@ is defined exactly when ``a*(b*c)`` is, with equal values.
 The module also decides the short-cycle axioms used by everything
 downstream: for every cycle ``a_1 .. a_n`` (n = 4 or 5) whose quotients
 ``b_i = inv(a_i) * a_{i+1}`` are all defined, at least one product
-``b_i * b_{i+1}`` must be defined as well.
+``b_i * b_{i+1}`` must be defined as well.  ``Pree.solver_problem``
+combines validity with both axioms into the word solver's precondition.
 """
 
 from __future__ import annotations
@@ -88,6 +89,22 @@ class Pree:
         None entries mean the axiom holds.
         """
         return self.derived("axiom_witnesses", lambda: (check_axiom(self, 4), check_axiom(self, 5)))
+
+    @property
+    def solver_problem(self) -> Optional[str]:
+        """Why the word solver's verdicts do not hold on this table, or None.
+
+        The Dehn solver is sound on a valid table with both short-cycle
+        axioms; this is the one place that decides it, once per table.
+        """
+
+        def build():
+            rep = validate_pree(self)
+            if not rep.ok:
+                return "the table is invalid: " + rep.problems[0]
+            return None if self.axiom_witnesses == (None, None) else "a short-cycle axiom fails"
+
+        return self.derived("solver_problem", build)
 
     @property
     def factorizations(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from preekit.pree import load_pree
+from preekit.pree import Pree, load_pree
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -106,6 +106,20 @@ def cyclic_pree(n, seed=0):
         for a in range(1, n) for b in range(1, n) if (a + b) % n
     ]
     return load_pree("\n".join(lines) + "\n")
+
+
+def corrupt_cyclic_pree():
+    """The full table of Z_6 built directly as a Pree, with one entry
+    changed: g1*g2 = g4.  The table fails validation (closure violations),
+    yet both short-cycle axioms hold on it."""
+    table = [[(a + b) % 6 for b in range(6)] for a in range(6)]
+    table[1][2] = 4
+    return Pree(
+        names=("e", "g1", "g2", "g3", "g4", "g5"),
+        identity=0,
+        inv=tuple(-a % 6 for a in range(6)),
+        table=tuple(map(tuple, table)),
+    )
 
 
 def dihedral_subtable(n, seed, keep=0.1):

@@ -168,9 +168,13 @@ def test_comb_counts():
 
 
 def test_comb_requires_axioms():
-    code, _, err = _run(["comb", fixture_path("cycle4")])
-    assert code == 2
-    assert "short-cycle axioms" in err
+    """Every command built on the combing is refused, by the library, on
+    the same exit-2 path."""
+    for name in ("cycle4", "cycle5"):
+        for argv in (["comb"], ["fellow", "-r", "2", "-k", "3"], ["export-fsa", "--which", "combing"]):
+            code, out, err = _run([argv[0], fixture_path(name)] + argv[1:])
+            assert (code, out) == (2, ""), (name, argv)
+            assert err.startswith("error: ") and "short-cycle axioms" in err, (name, argv)
 
 
 def test_ball_method_switches_to_oracle():

@@ -22,8 +22,6 @@ from preekit.diagrams import (
     find_minimal_diagram,
     grow_random,
     reduce_internal_vertex,
-    removable_boundary_faces,
-    remove_boundary_triangle,
     single_triangle,
 )
 from preekit.words import inverse_word, parse_word, strip_reduce_once
@@ -113,9 +111,6 @@ def test_attach_split_then_remove_restores_boundary(zxz):
     assert d2.area == 2
     assert len(d2.boundary) == len(d.boundary) + 1
     assert curvature_check(d2)[2]
-    d3 = remove_boundary_triangle(d2, d2.area - 1)
-    assert d3.area == 1
-    assert d.boundary_word() in {r for _, _, r in d3.readings()}
 
 
 def test_attach_fold_shrinks_boundary(zxz):
@@ -127,23 +122,6 @@ def test_attach_fold_shrinks_boundary(zxz):
     assert d3.area == 3
     assert len(d3.boundary) == len(d2.boundary) - 1
     assert curvature_check(d3)[2]
-
-
-def test_every_grown_diagram_peels_to_one_triangle(zxz, s3):
-    rng = random.Random(43)
-    for p in (zxz, s3):
-        for _ in range(10):
-            d = grow_random(p, rng, rng.randrange(2, 10))
-            while d.area > 1:
-                faces = removable_boundary_faces(d)
-                assert faces, "stuck at area %d" % d.area
-                d2 = remove_boundary_triangle(d, faces[0])
-                assert d2.area == d.area - 1
-                d = d2
-
-
-def test_single_triangle_has_no_removable_face(zxz):
-    assert removable_boundary_faces(_tri(zxz)) == []
 
 
 def test_curvature_identity_on_random_diagrams(zxz, s3, q8):

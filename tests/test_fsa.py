@@ -19,7 +19,6 @@ from preekit.fsa import (
     fsa_to_dot,
     fsa_to_text,
     geodesic_acceptor,
-    irreducible_acceptor,
     render_symbol,
     strip_reduction_pair_recognizer,
     word_difference_machine,
@@ -135,15 +134,6 @@ def test_fsa_text_and_dot_are_stable():
     dot = fsa_to_dot(m, str)
     assert dot.startswith("digraph fsa {")
     assert 'q0 -> q1 [label="a"];' in dot
-
-
-def test_irreducible_acceptor(zxz):
-    acc = irreducible_acceptor(zxz)
-    assert acc.accepts(())
-    assert acc.accepts((zxz.identity,))
-    assert acc.accepts(parse_word(zxz, "(1,0) (1,0)"))
-    assert not acc.accepts(parse_word(zxz, "(1,0) (0,1)"))
-    assert not acc.accepts(parse_word(zxz, "(1,0) (-1,0)"))
 
 
 def test_geodesic_acceptor_matches_word_predicate(zxz):

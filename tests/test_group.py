@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     all_words,
+    corrupt_cyclic_pree,
     cyclic_pree,
     dihedral_subtable,
     fixture_path,
@@ -234,6 +235,58 @@ def test_residue_is_an_element_invariant(zxz):
         assert obs.residue(w) == obs.residue(w + (zxz.identity,))
 
 
+def reference_lattice_contains(obs, vec):
+    """The membership loop might_be_identity used before it read the residue."""
+    v = list(vec)
+    for r, col in obs.pivots:
+        if v[r] == 0:
+            continue
+        if v[r] % col[r] != 0:
+            return False
+        q = v[r] // col[r]
+        for i in range(len(v)):
+            v[i] -= q * col[i]
+    return not any(v)
+
+
+def _word_congruent_to(p, obs, vec):
+    """A word whose vector equals vec modulo the lattice.  The column of
+    a*inv(a) = 1 is e_a + e_inv(a), so -e_a is e_inv(a) modulo it."""
+    counts = dict.fromkeys(obs.index, 0)
+    for a, i in obs.index.items():
+        counts[a if vec[i] >= 0 else p.inv[a]] += abs(vec[i])
+    return tuple(a for a in counts for _ in range(counts[a]))
+
+
+def test_residue_membership_matches_reference_loop(cycle4, cycle5):
+    tables = solver_tables() + [("cycle4", cycle4), ("cycle5", cycle5)]
+    tables.append(("broken_closure", load_fixture("broken_closure")))
+    rng = random.Random(29)
+    verdicts = set()
+    for name, p in tables:
+        obs = abelian_obstruction(p)
+        letters = p.nonidentity()
+        for _ in range(300):
+            w = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 10)))
+            want = reference_lattice_contains(obs, obs.vector(w))
+            assert obs.might_be_identity(w) == want, (name, w)
+            verdicts.add(want)
+        for _ in range(300):
+            # a lattice vector, half the time moved off by one unit
+            vec = [0] * len(obs.index)
+            for _, col in obs.pivots:
+                k = rng.randrange(-3, 4)
+                vec = [x + k * c for x, c in zip(vec, col)]
+            if rng.random() < 0.5:
+                vec[rng.randrange(len(vec))] += 1
+            want = reference_lattice_contains(obs, vec)
+            w = _word_congruent_to(p, obs, vec)
+            assert reference_lattice_contains(obs, obs.vector(w)) == want, (name, vec)
+            assert obs.might_be_identity(w) == want, (name, vec)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_bfs_oracle_verdicts(zxz, taxicab):
     assert bfs_identity_oracle(zxz, parse_word(zxz, "(1,0) (-1,0)")) is True
     assert bfs_identity_oracle(zxz, parse_word(zxz, "(1,1) (-1,0) (0,-1)")) is True
@@ -279,6 +332,42 @@ def test_equals_identity_on_full_tables(s3, z6, q8):
 def test_equals_identity_needs_axioms(cycle4):
     with pytest.raises(PreeError):
         equals_identity(cycle4, (1, 2))
+
+
+def test_solver_problem_names_the_reason(zxz, cycle4, cycle5):
+    assert zxz.solver_problem is None and axioms_hold(zxz)
+    for p in (cycle4, cycle5):
+        assert p.solver_problem == "a short-cycle axiom fails"
+    p = corrupt_cyclic_pree()
+    first = pree.validate_pree(p).problems[0]
+    assert first.startswith("closure violation")
+    assert p.axiom_witnesses == (None, None)
+    assert p.solver_problem == "the table is invalid: " + first
+    assert not axioms_hold(p)
+
+
+def test_solver_refuses_an_invalid_table():
+    """Both axioms hold on the corrupt Z_6, so an axioms-only gate would
+    let the solver, the ball and the combing answer on it."""
+    p = corrupt_cyclic_pree()
+    first = pree.validate_pree(p).problems[0]
+    for build in (
+        lambda: equals_identity(p, (1, 2, 2)),
+        lambda: cayley_ball(p, 2),
+        lambda: combing_acceptor(p),
+    ):
+        with pytest.raises(PreeError) as info:
+            build()
+        assert "short-cycle axioms" in str(info.value)
+        assert first in str(info.value)
+
+
+def test_verify_sweeps_assert_nothing_on_an_invalid_table():
+    p = corrupt_cyclic_pree()
+    note = "precondition unmet: the table is invalid: %s, nothing asserted" % pree.validate_pree(p).problems[0]
+    for check in (verify_embedding, verify_short_identities):
+        rep = check(p)
+        assert rep.ok and rep.notes == [note], check.__name__
 
 
 def test_ball_sizes_match_plane_count(zxz):
