@@ -534,16 +534,43 @@ def grow_random(p: Pree, rng: Random, target_area: int) -> Diagram:
     return d
 
 
-def _canonical(p: Pree, w: Word) -> Word:
-    iw = inverse_word(p, w)
-    n = len(w)
+def _canonical(inv: dict[int, int], w: str) -> str:
+    """Least rotation of the coded word w or of its inverse.
+
+    A coded word has one chr per letter, and ``inv`` is the inverse as a
+    str.translate map.  chr keeps the letter order, so this codes the
+    least tuple rotation.  Only rotations that start with the least
+    letter can be least, so only they are compared.
+    """
+    iw = w.translate(inv)[::-1]
+    m = min(w + iw)
     best = None
     for t in (w, iw):
-        for r in range(n):
+        r = t.find(m)
+        while r >= 0:
             cand = t[r:] + t[:r]
             if best is None or cand < best:
                 best = cand
+            r = t.find(m, r + 1)
     return best
+
+
+def _diagram_moves(p: Pree) -> tuple[dict, dict, dict, set]:
+    """The search's move tables on coded words, built once per table.
+
+    The inverse as a translate map, the product of each defined
+    two-letter word, each letter's two-letter factorizations in id order,
+    and the canonical triangle words.
+    """
+
+    def build():
+        inv = dict(enumerate(p.inv))
+        prod = {chr(a) + chr(b): chr(c) for a, b, c in p.defined_pairs()}
+        fact = {chr(c): [chr(a) + chr(b) for a, b in fs] for c, fs in enumerate(p.factorizations)}
+        triangles = {_canonical(inv, ab + chr(p.inv[ord(c)])) for ab, c in prod.items()}
+        return inv, prod, fact, triangles
+
+    return p.derived("diagram_moves", build)
 
 
 def _triangle_reading(p: Pree, rep: Word) -> Optional[Word]:
@@ -564,8 +591,13 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     Searches the move graph on cyclic boundary words: contracting an
     adjacent pair undoes a two-edge attachment, expanding a letter into
     a defined factorization undoes a one-edge attachment.  Each move is
-    one triangle, so area = 1 + move distance to a triangle word; A*
-    with the admissible bound max(1, length - 3) keeps it exact.  The
+    one triangle, so area = 1 + move distance to a triangle word, and
+    max_area is inclusive.  A* keys a word n long, g moves from w, by
+    g + max(1, n - 3).  Below a word that is not a triangle word this
+    key is at most the area minus one; on a triangle word it is the area
+    itself.  Every goal is keyed alike, so the first one popped is
+    minimal, and a triangle child may take the key max_area where any
+    other child is pruned.  Words are coded as str (see _canonical); the
     winning path is replayed through attach_triangle.
     """
     if len(w) < 2:
@@ -574,62 +606,62 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
         return None
     if not abelian_obstruction(p).might_be_identity(w):
         return None
-    table, inv, fact = p.table, p.inv, p.factorizations
+    inv, prod, fact, triangles = _diagram_moves(p)
 
-    def h(n: int) -> int:
-        return max(1, n - 3)
+    def fits(length: int, room: int) -> bool:
+        # a triangle word ends the search, so it may take the last unit of room
+        return max(1, length - 3) <= room or (room == 0 and length == 3)
 
-    start = _canonical(p, w)
+    start = _canonical(inv, "".join(map(chr, w)))
     best_g = {start: 0}
-    parents: dict[Word, tuple[Word, tuple, Word]] = {}
-    heap = [(h(len(start)), 0, start)]
+    parents: dict[str, tuple[str, tuple[str, int], str]] = {}
+    heap = [(max(1, len(start) - 3), 0, start)]
     goal = None
     while heap:
         f, g, rep = heapq.heappop(heap)
-        if g > best_g.get(rep, -1):
+        if g > best_g[rep]:
             continue
-        if _triangle_reading(p, rep) is not None:
+        n = len(rep)
+        if n == 3 and rep in triangles:
             goal = rep
             break
-        n = len(rep)
+        ng = g + 1
+        room = max_area - 1 - ng
+        # contractions are n - 1 long and expansions n + 1: bound each kind once
         children = []
-        if n >= 3:
+        if n >= 3 and fits(n - 1, room):
+            ring = rep + rep[0]
             for i in range(n):
-                c = table[rep[i]][rep[(i + 1) % n]]
-                if c == UNDEF:
-                    continue
-                if i < n - 1:
-                    child = rep[:i] + (c,) + rep[i + 2 :]
-                else:
-                    child = (c,) + rep[1 : n - 1]
-                children.append((("c", i), child))
-        for i in range(n):
-            for e, fa in fact[rep[i]]:
-                children.append((("e", i, e, fa), rep[:i] + (e, fa) + rep[i + 1 :]))
+                c = prod.get(ring[i : i + 2])
+                if c is not None:
+                    children.append((("c", i), rep[:i] + c + rep[i + 2 :] if i < n - 1 else c + rep[1 : n - 1]))
+        if fits(n + 1, room):
+            for i in range(n):
+                for ef in fact[rep[i]]:
+                    children.append((("e", i), rep[:i] + ef + rep[i + 1 :]))
         for move, child in children:
-            ng = g + 1
-            if ng + h(len(child)) > max_area - 1:
+            cc = _canonical(inv, child)
+            if room == 0 and cc not in triangles:
                 continue
-            cc = _canonical(p, child)
             if ng < best_g.get(cc, ng + 1):
                 best_g[cc] = ng
                 parents[cc] = (rep, move, child)
-                heapq.heappush(heap, (ng + h(len(cc)), ng, cc))
+                heapq.heappush(heap, (ng + max(1, len(cc) - 3), ng, cc))
     if goal is None:
         return None
 
-    x1, x2, x3 = _triangle_reading(p, goal)
+    x1, x2, x3 = _triangle_reading(p, tuple(map(ord, goal)))
     d = single_triangle(p, x1, x2)
     node = goal
     while node != start:
-        parent, move, exact = parents[node]
+        parent_s, (kind, i), exact_s = parents[node]
+        parent, exact = tuple(map(ord, parent_s)), tuple(map(ord, exact_s))
         match = next(
             (s, dr) for s, dr, word in d.readings() if word == exact
         )
         offset, direction = match
         n_child = len(exact)
-        if move[0] == "c":
-            i = move[1]
+        if kind == "c":
             np_ = len(parent)
             j = i if i < np_ - 1 else 0
             x, y = parent[i], parent[(i + 1) % np_]
@@ -639,12 +671,11 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
             else:
                 d = attach_triangle(d, pos, (inv[y], inv[x]))
         else:
-            i = move[1]
             if direction == 1:
                 d = attach_triangle(d, (offset + i) % n_child)
             else:
                 d = attach_triangle(d, (offset - i - 1) % n_child)
-        node = parent
+        node = parent_s
     return d
 
 

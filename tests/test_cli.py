@@ -208,6 +208,14 @@ def test_diagram_found_and_not_found(tmp_path):
     assert code == 1
     assert "no diagram within area 12" in out
 
+    # max_area is inclusive: the digon has area exactly 2
+    code, out, _ = _run(["diagram", fixture_path("zxz"), "--boundary", "(1,0) (-1,0)", "--max-area", "2"])
+    assert code == 0
+    assert "area: 2" in out.splitlines()
+    code, out, _ = _run(["diagram", fixture_path("zxz"), "--boundary", "(1,0) (-1,0)", "--max-area", "1"])
+    assert code == 1
+    assert "no diagram within area 1" in out
+
     dot = tmp_path / "d.dot"
     code, _, _ = _run(["diagram", fixture_path("zxz"), "--boundary", "(1,0) (-1,0)",
                        "--dot", str(dot)])

@@ -1,0 +1,197 @@
+"""The minimal-diagram search against the code it replaced.
+
+``find_minimal_diagram`` runs A* on words coded one chr per letter, with
+per-table move tables, and returns a diagram whose area equals
+``max_area``.  The tuple search and its canonical form below are kept
+as they were written before, as differential oracles: on every input
+both answer, the diagrams must be identical, and where only the new
+search answers, the area must be exactly ``max_area``.
+"""
+
+import heapq
+import random
+from types import SimpleNamespace
+from typing import Optional
+
+import pytest
+
+from conftest import dihedral_subtable, load_fixture
+from preekit.diagrams import (
+    Diagram,
+    _canonical,
+    _triangle_reading,
+    attach_triangle,
+    find_minimal_diagram,
+    grow_random,
+    single_triangle,
+)
+from preekit.group import abelian_obstruction
+from preekit.pree import UNDEF, Pree, PreeError
+from preekit.words import Word, inverse_word
+
+
+def reference_canonical(p: Pree, w: Word) -> Word:
+    iw = inverse_word(p, w)
+    n = len(w)
+    best = None
+    for t in (w, iw):
+        for r in range(n):
+            cand = t[r:] + t[:r]
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def reference_find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagram]:
+    """Smallest diagram whose boundary reads w up to rotation/inversion.
+
+    Searches the move graph on cyclic boundary words: contracting an
+    adjacent pair undoes a two-edge attachment, expanding a letter into
+    a defined factorization undoes a one-edge attachment.  Each move is
+    one triangle, so area = 1 + move distance to a triangle word; A*
+    with the admissible bound max(1, length - 3) keeps it exact.  The
+    winning path is replayed through attach_triangle.
+    """
+    if len(w) < 2:
+        raise PreeError("boundary word needs length >= 2")
+    if max_area < 1:
+        return None
+    if not abelian_obstruction(p).might_be_identity(w):
+        return None
+    table, inv, fact = p.table, p.inv, p.factorizations
+
+    def h(n: int) -> int:
+        return max(1, n - 3)
+
+    start = reference_canonical(p, w)
+    best_g = {start: 0}
+    parents: dict[Word, tuple[Word, tuple, Word]] = {}
+    heap = [(h(len(start)), 0, start)]
+    goal = None
+    while heap:
+        f, g, rep = heapq.heappop(heap)
+        if g > best_g.get(rep, -1):
+            continue
+        if _triangle_reading(p, rep) is not None:
+            goal = rep
+            break
+        n = len(rep)
+        children = []
+        if n >= 3:
+            for i in range(n):
+                c = table[rep[i]][rep[(i + 1) % n]]
+                if c == UNDEF:
+                    continue
+                if i < n - 1:
+                    child = rep[:i] + (c,) + rep[i + 2 :]
+                else:
+                    child = (c,) + rep[1 : n - 1]
+                children.append((("c", i), child))
+        for i in range(n):
+            for e, fa in fact[rep[i]]:
+                children.append((("e", i, e, fa), rep[:i] + (e, fa) + rep[i + 1 :]))
+        for move, child in children:
+            ng = g + 1
+            if ng + h(len(child)) > max_area - 1:
+                continue
+            cc = reference_canonical(p, child)
+            if ng < best_g.get(cc, ng + 1):
+                best_g[cc] = ng
+                parents[cc] = (rep, move, child)
+                heapq.heappush(heap, (ng + h(len(cc)), ng, cc))
+    if goal is None:
+        return None
+
+    x1, x2, x3 = _triangle_reading(p, goal)
+    d = single_triangle(p, x1, x2)
+    node = goal
+    while node != start:
+        parent, move, exact = parents[node]
+        match = next(
+            (s, dr) for s, dr, word in d.readings() if word == exact
+        )
+        offset, direction = match
+        n_child = len(exact)
+        if move[0] == "c":
+            i = move[1]
+            np_ = len(parent)
+            j = i if i < np_ - 1 else 0
+            x, y = parent[i], parent[(i + 1) % np_]
+            pos = (offset + direction * j) % n_child
+            if direction == 1:
+                d = attach_triangle(d, pos, (x, y))
+            else:
+                d = attach_triangle(d, pos, (inv[y], inv[x]))
+        else:
+            i = move[1]
+            if direction == 1:
+                d = attach_triangle(d, (offset + i) % n_child)
+            else:
+                d = attach_triangle(d, (offset - i - 1) % n_child)
+        node = parent
+    return d
+
+
+def fields(d):
+    return None if d is None else (d.n_vertices, d.edges, d.faces, d.boundary)
+
+
+# (table, areas grown, boundaries per area)
+CASES = [
+    ("zxz", range(2, 11), 8),
+    ("s3", range(2, 10), 8),
+    ("q8", range(2, 9), 6),
+    ("z6", range(2, 9), 6),
+    ("D_6/14", range(2, 10), 8),
+]
+
+
+def case_table(name):
+    return dihedral_subtable(6, 14, keep=0.3) if name == "D_6/14" else load_fixture(name)
+
+
+@pytest.mark.parametrize("name,areas,per_area", CASES, ids=[c[0] for c in CASES])
+def test_search_matches_reference(name, areas, per_area):
+    p = case_table(name)
+    rng = random.Random(1009)
+    past_reference = 0
+    for area in areas:
+        for _ in range(per_area):
+            w = grow_random(p, random.Random(rng.getrandbits(32)), area).boundary_word()
+            r = rng.randrange(len(w))
+            w = w[r:] + w[:r]
+            want = reference_find_minimal_diagram(p, w, max_area=area + 1)
+            assert want is not None
+            assert fields(find_minimal_diagram(p, w, max_area=area + 1)) == fields(want)
+            least = want.area
+            d = find_minimal_diagram(p, w, max_area=least)
+            assert d is not None and d.area == least
+            # the reference misses a diagram whose area equals max_area,
+            # unless w is itself a triangle word
+            missed = reference_find_minimal_diagram(p, w, max_area=least)
+            assert missed is None if least > 1 else fields(missed) == fields(d)
+            assert w in {word for _, _, word in d.readings()}
+            assert find_minimal_diagram(p, w, max_area=least - 1) is None
+            past_reference += least > 1
+    assert past_reference > 0
+
+
+def test_canonical_codes_large_alphabets():
+    """The str encoding holds for letters far above one byte."""
+    rng = random.Random(2027)
+    top = 0
+    for size in (300, 1000):
+        ids = list(range(1, size))
+        rng.shuffle(ids)
+        inv = list(range(size))
+        for a, b in zip(ids[::2], ids[1::2]):
+            inv[a], inv[b] = b, a
+        p = SimpleNamespace(inv=tuple(inv))
+        for _ in range(400):
+            # a few letters per word, so least letters repeat
+            letters = rng.sample(range(size), rng.randrange(1, 6))
+            w = tuple(rng.choice(letters) for _ in range(rng.randrange(2, 14)))
+            got = _canonical(dict(enumerate(inv)), "".join(map(chr, w)))
+            assert tuple(map(ord, got)) == reference_canonical(p, w)
+            top = max(top, *w)
+    assert top > 900

@@ -225,6 +225,15 @@ def test_minimal_diagram_respects_budget(zxz):
     assert find_minimal_diagram(zxz, w, max_area=1) is None
 
 
+def test_max_area_is_inclusive(zxz):
+    w = parse_word(zxz, "(1,0) (-1,0)")
+    d = find_minimal_diagram(zxz, w, max_area=2)
+    assert d is not None and d.area == 2
+    k3 = parse_word(zxz, "(0,1) (0,1) (0,1) (1,0) (1,0) (1,0) (-1,-1) (-1,-1) (-1,-1)")
+    assert find_minimal_diagram(zxz, k3, max_area=9).area == 9
+    assert find_minimal_diagram(zxz, k3, max_area=8) is None
+
+
 def test_diagram_text_and_dot(zxz):
     d = _tri(zxz)
     text = diagram_to_text(d)
