@@ -593,12 +593,19 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     a defined factorization undoes a one-edge attachment.  Each move is
     one triangle, so area = 1 + move distance to a triangle word, and
     max_area is inclusive.  A* keys a word n long, g moves from w, by
-    g + max(1, n - 3).  Below a word that is not a triangle word this
+    f = g + max(1, n - 3).  Below a word that is not a triangle word this
     key is at most the area minus one; on a triangle word it is the area
     itself.  Every goal is keyed alike, so the first one popped is
     minimal, and a triangle child may take the key max_area where any
-    other child is pruned.  Words are coded as str (see _canonical); the
-    winning path is replayed through attach_triangle.
+    other child is pruned.  Expansion is partial (Yoshizumi et al. 2000): a
+    word n >= 4 long pushes its contractions, and its expansions, all keyed
+    f + 2, wait in one entry (f + 2, -1, (g, rep)) until it pops.  Such
+    entries come from words popped at key f, sort by (g, rep) in pop order,
+    and precede every word keyed f + 2, where contracting parents pop; so
+    parents and diagram match an eager search.  Shorter words gain nothing
+    and expand at once, lest a 2-letter word's triangles, deferred to f + 1,
+    lose a tie to 4-letter words contracted at key f.  Words are coded as
+    str (see _canonical); the path found is replayed by attach_triangle.
     """
     if len(w) < 2:
         raise PreeError("boundary word needs length >= 2")
@@ -612,6 +619,20 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
         # a triangle word ends the search, so it may take the last unit of room
         return max(1, length - 3) <= room or (room == 0 and length == 3)
 
+    def expansions(rep: str) -> list:
+        return [(("e", i), rep[:i] + ef + rep[i + 1 :]) for i in range(len(rep)) for ef in fact[rep[i]]]
+
+    def push(g: int, rep: str, children: list) -> None:
+        ng, room = g + 1, max_area - 2 - g
+        for move, child in children:
+            cc = _canonical(inv, child)
+            if room == 0 and cc not in triangles:
+                continue
+            if ng < best_g.get(cc, ng + 1):
+                best_g[cc] = ng
+                parents[cc] = (rep, move, child)
+                heapq.heappush(heap, (ng + max(1, len(cc) - 3), ng, cc))
+
     start = _canonical(inv, "".join(map(chr, w)))
     best_g = {start: 0}
     parents: dict[str, tuple[str, tuple[str, int], str]] = {}
@@ -619,14 +640,17 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     goal = None
     while heap:
         f, g, rep = heapq.heappop(heap)
+        if g < 0:  # the deferred expansions of a word popped at key f - 2
+            g, rep = rep
+            push(g, rep, expansions(rep))
+            continue
         if g > best_g[rep]:
             continue
         n = len(rep)
         if n == 3 and rep in triangles:
             goal = rep
             break
-        ng = g + 1
-        room = max_area - 1 - ng
+        room = max_area - 2 - g
         # contractions are n - 1 long and expansions n + 1: bound each kind once
         children = []
         if n >= 3 and fits(n - 1, room):
@@ -636,17 +660,11 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
                 if c is not None:
                     children.append((("c", i), rep[:i] + c + rep[i + 2 :] if i < n - 1 else c + rep[1 : n - 1]))
         if fits(n + 1, room):
-            for i in range(n):
-                for ef in fact[rep[i]]:
-                    children.append((("e", i), rep[:i] + ef + rep[i + 1 :]))
-        for move, child in children:
-            cc = _canonical(inv, child)
-            if room == 0 and cc not in triangles:
-                continue
-            if ng < best_g.get(cc, ng + 1):
-                best_g[cc] = ng
-                parents[cc] = (rep, move, child)
-                heapq.heappush(heap, (ng + max(1, len(cc) - 3), ng, cc))
+            if n <= 3:
+                children += expansions(rep)
+            else:
+                heapq.heappush(heap, (g + n - 1, -1, (g, rep)))
+        push(g, rep, children)
     if goal is None:
         return None
 
@@ -656,10 +674,7 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     while node != start:
         parent_s, (kind, i), exact_s = parents[node]
         parent, exact = tuple(map(ord, parent_s)), tuple(map(ord, exact_s))
-        match = next(
-            (s, dr) for s, dr, word in d.readings() if word == exact
-        )
-        offset, direction = match
+        offset, direction = next((s, dr) for s, dr, word in d.readings() if word == exact)
         n_child = len(exact)
         if kind == "c":
             np_ = len(parent)

@@ -27,7 +27,7 @@ from preekit.diagrams import (
 )
 from preekit.group import abelian_obstruction
 from preekit.pree import UNDEF, Pree, PreeError
-from preekit.words import Word, inverse_word
+from preekit.words import Word, inverse_word, parse_word
 
 
 def reference_canonical(p: Pree, w: Word) -> Word:
@@ -163,6 +163,10 @@ def test_search_matches_reference(name, areas, per_area):
             want = reference_find_minimal_diagram(p, w, max_area=area + 1)
             assert want is not None
             assert fields(find_minimal_diagram(p, w, max_area=area + 1)) == fields(want)
+            # slack above the minimal area lets both searches push children
+            # that no pop reaches; the diagrams must not change
+            slack = reference_find_minimal_diagram(p, w, max_area=area + 3)
+            assert fields(find_minimal_diagram(p, w, max_area=area + 3)) == fields(slack)
             least = want.area
             d = find_minimal_diagram(p, w, max_area=least)
             assert d is not None and d.area == least
@@ -174,6 +178,38 @@ def test_search_matches_reference(name, areas, per_area):
             assert find_minimal_diagram(p, w, max_area=least - 1) is None
             past_reference += least > 1
     assert past_reference > 0
+
+
+def test_every_reading_matches_reference():
+    """All 18 readings of the area-9 boundary, at and above its area.
+
+    Many paths of equal length reach the same words here, so the parent
+    each word keeps, and with it the diagram, depends on the order in
+    which nodes are popped and their children pushed.  The reference's
+    bound is exclusive, so it runs one unit higher.
+    """
+    p = load_fixture("zxz")
+    w = parse_word(p, " ".join(["(0,1)"] * 3 + ["(1,0)"] * 3 + ["(-1,-1)"] * 3))
+    readings = [t[r:] + t[:r] for t in (w, inverse_word(p, w)) for r in range(len(w))]
+    assert len(set(readings)) == 18
+    for max_area in (9, 10, 12):
+        for x in readings:
+            want = reference_find_minimal_diagram(p, x, max_area=max_area + 1)
+            assert want is not None and want.area == 9
+            assert fields(find_minimal_diagram(p, x, max_area=max_area)) == fields(want)
+
+
+@pytest.mark.parametrize("name", [c[0] for c in CASES])
+def test_digons_match_reference(name):
+    """A digon a a^-1 has area 2: the search starts below a triangle word."""
+    p = case_table(name)
+    for a in range(1, p.size):
+        w = (a, p.inv[a])
+        for max_area in range(2, 6):
+            want = reference_find_minimal_diagram(p, w, max_area=max_area + 1)
+            assert want is not None and want.area == 2
+            assert fields(find_minimal_diagram(p, w, max_area=max_area)) == fields(want)
+        assert find_minimal_diagram(p, w, max_area=1) is None
 
 
 def test_canonical_codes_large_alphabets():
