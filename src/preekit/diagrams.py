@@ -597,14 +597,14 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     key is at most the area minus one; on a triangle word it is the area
     itself.  Every goal is keyed alike, so the first one popped is
     minimal, and a triangle child may take the key max_area where any
-    other child is pruned.  Expansion is partial (Yoshizumi et al. 2000): a
-    word n >= 4 long pushes its contractions, and its expansions, all keyed
-    f + 2, wait in one entry (f + 2, -1, (g, rep)) until it pops.  Such
-    entries come from words popped at key f, sort by (g, rep) in pop order,
-    and precede every word keyed f + 2, where contracting parents pop; so
-    parents and diagram match an eager search.  Shorter words gain nothing
-    and expand at once, lest a 2-letter word's triangles, deferred to f + 1,
-    lose a tie to 4-letter words contracted at key f.  Words are coded as
+    other child is pruned.  Expansion is partial (Yoshizumi et al. 2000):
+    a popped word pushes its contractions, while its expansions wait in
+    one entry (g + n - 1, -1, (g, rep)).  For n >= 3 that is the key of
+    every expansion, and for n = 2 it is f, so the entry pops next.  It
+    sorts before every word of its key, where a child's contracting
+    parents pop; its expanding parents are all one length, so they popped
+    in (g, rep) order and their entries sort alike.  Every child thus gets
+    the parent, and w the diagram, of an eager search.  Words are coded as
     str (see _canonical); the path found is replayed by attach_triangle.
     """
     if len(w) < 2:
@@ -618,9 +618,6 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     def fits(length: int, room: int) -> bool:
         # a triangle word ends the search, so it may take the last unit of room
         return max(1, length - 3) <= room or (room == 0 and length == 3)
-
-    def expansions(rep: str) -> list:
-        return [(("e", i), rep[:i] + ef + rep[i + 1 :]) for i in range(len(rep)) for ef in fact[rep[i]]]
 
     def push(g: int, rep: str, children: list) -> None:
         ng, room = g + 1, max_area - 2 - g
@@ -640,9 +637,9 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     goal = None
     while heap:
         f, g, rep = heapq.heappop(heap)
-        if g < 0:  # the deferred expansions of a word popped at key f - 2
+        if g < 0:  # the deferred expansions of a popped word, all n + 1 long
             g, rep = rep
-            push(g, rep, expansions(rep))
+            push(g, rep, [(("e", i), rep[:i] + ef + rep[i + 1 :]) for i in range(len(rep)) for ef in fact[rep[i]]])
             continue
         if g > best_g[rep]:
             continue
@@ -660,10 +657,7 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
                 if c is not None:
                     children.append((("c", i), rep[:i] + c + rep[i + 2 :] if i < n - 1 else c + rep[1 : n - 1]))
         if fits(n + 1, room):
-            if n <= 3:
-                children += expansions(rep)
-            else:
-                heapq.heappush(heap, (g + n - 1, -1, (g, rep)))
+            heapq.heappush(heap, (g + n - 1, -1, (g, rep)))
         push(g, rep, children)
     if goal is None:
         return None
@@ -674,7 +668,10 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     while node != start:
         parent_s, (kind, i), exact_s = parents[node]
         parent, exact = tuple(map(ord, parent_s)), tuple(map(ord, exact_s))
-        offset, direction = next((s, dr) for s, dr, word in d.readings() if word == exact)
+        match = next(
+            (s, dr) for s, dr, word in d.readings() if word == exact
+        )
+        offset, direction = match
         n_child = len(exact)
         if kind == "c":
             np_ = len(parent)
