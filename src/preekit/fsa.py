@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .pree import UNDEF, Pree
-from .words import Word, render_word, strip_masks
+from .words import Word, contract_push, render_word, strip_masks
 # equals_identity is no longer called here; it stays importable as fsa.equals_identity
 from .group import (  # noqa: F401
-    cayley_ball, contract_push, equals_identity, neighbor_pairs, require_solver, stack_is_identity,
+    cayley_ball, equals_identity, neighbor_pairs, require_solver, stack_is_identity,
 )
 
 PAD = -2

@@ -19,11 +19,16 @@ from typing import Iterator, Optional
 from .pree import UNDEF, Pree, PreeError, VerificationReport, check_axiom  # noqa: F401
 from .words import (
     Word,
+    contract_push,
     inverse_word,
     is_geodesic_word,
     render_word,
     strongly_reduce,
 )
+
+# limits of the bounded searches: words the identity oracle visits, elements of a ball
+ORACLE_MAX_STATES = 500_000
+BALL_ELEMENT_CAP = 250_000
 
 
 def axioms_hold(p: Pree) -> bool:
@@ -122,9 +127,7 @@ def abelian_obstruction(p: Pree) -> AbelianObstruction:
     return p.derived("abelian_obstruction", lambda: AbelianObstruction(p))
 
 
-def bfs_identity_oracle(
-    p: Pree, w: Word, length_bound: int = 8, max_states: int = 500_000
-) -> Optional[bool]:
+def bfs_identity_oracle(p: Pree, w: Word, length_bound: int = 8) -> Optional[bool]:
     """Decide whether ``w`` represents the identity, independently.
 
     Neighbor moves replace an adjacent pair by its product or a letter by
@@ -132,7 +135,7 @@ def bfs_identity_oracle(
     Returns True when the one-letter identity word is reached, False when
     the abelianized obstruction rules the word out or the component is
     exhausted without any truncated expansion, and None when the length
-    bound (or the state cap) cut the exploration short.
+    bound (or ``ORACLE_MAX_STATES``) cut the exploration short.
     """
     if len(w) == 0:
         raise PreeError("empty word")
@@ -166,7 +169,7 @@ def bfs_identity_oracle(
                 if v not in seen:
                     seen.add(v)
                     heapq.heappush(heap, (m + 1, v))
-        if len(seen) > max_states:
+        if len(seen) > ORACLE_MAX_STATES:
             return None
     return None if truncated else False
 
@@ -184,24 +187,12 @@ def equals_identity(p: Pree, w: Word) -> bool:
     return reduced == (p.identity,)
 
 
-def contract_push(table, stack: Word, x: int) -> Word:
-    """Push ``x`` onto a stack with no defined adjacent pair, then combine
-    the top two letters while their product is defined.  Pushing a word's
-    letters in turn is repeated leftmost contraction."""
-    while stack:
-        c = table[stack[-1]][x]
-        if c == UNDEF:
-            break
-        stack, x = stack[:-1], c
-    return stack + (x,)
-
-
 def stack_is_identity(p: Pree, stack: Word) -> bool:
     """equals_identity on a folded stack.  It is the verdict on every word
-    with that fold: strongly_reduce contracts the leftmost defined pair
-    before anything else.  Verdicts on stacks of at most four letters are
-    memoised per table; a five-letter stack is an irreducible word, met
-    once per sweep, and a sparse table has about (|P|-1)^5 of them."""
+    with that fold: strongly_reduce folds through ``contract_push`` before
+    it strips.  Verdicts on stacks of at most four letters are memoised
+    per table; a five-letter stack is an irreducible word, met once per
+    sweep, and a sparse table has about (|P|-1)^5 of them."""
     if len(stack) > 4:
         return equals_identity(p, stack)
     memo = p.derived("stack_verdicts", dict)
@@ -247,23 +238,22 @@ class CayleyBall:
         return out
 
 
-def cayley_ball(
-    p: Pree, radius: int, method: str = "dehn", element_cap: int = 250_000
-) -> CayleyBall:
+def cayley_ball(p: Pree, radius: int, method: str = "dehn") -> CayleyBall:
     """Breadth-first ball over the nonidentity letters.
 
     Element identity is decided by equals_identity ("dehn") or by the
     neighbor-search oracle ("oracle"); candidates are bucketed by their
     abelianized image first so the expensive check runs only within a
-    bucket.  Balls are cached per table instance.
+    bucket.  Balls are cached per table instance; one with more than
+    ``BALL_ELEMENT_CAP`` elements raises PreeError.
     """
     if radius < 0:
         raise PreeError("radius must be nonnegative")
     key = ("cayley_ball", radius, method)
-    return p.derived(key, lambda: _build_ball(p, radius, method, element_cap))
+    return p.derived(key, lambda: _build_ball(p, radius, method))
 
 
-def _build_ball(p: Pree, radius: int, method: str, element_cap: int) -> CayleyBall:
+def _build_ball(p: Pree, radius: int, method: str) -> CayleyBall:
     if method == "dehn":
         require_solver(p)
 
@@ -326,7 +316,7 @@ def _build_ball(p: Pree, radius: int, method: str, element_cap: int) -> CayleyBa
                     buckets.setdefault(obs.residue(rw), []).append(t)
                     by_reduced[rw] = t
                     new.append(t)
-                    if len(reps) > element_cap:
+                    if len(reps) > BALL_ELEMENT_CAP:
                         raise PreeError("ball exceeds element cap")
                 row[g] = t
         frontier = new

@@ -53,13 +53,16 @@ def inverse_word(p: Pree, w: Word) -> Word:
     return tuple(p.inv[a] for a in reversed(w))
 
 
-def reduce_once(p: Pree, w: Word) -> Optional[tuple[Word, int]]:
-    """Contract the leftmost adjacent pair with a defined product."""
-    for i in range(len(w) - 1):
-        c = p.table[w[i]][w[i + 1]]
-        if c != UNDEF:
-            return w[:i] + (c,) + w[i + 2 :], i
-    return None
+def contract_push(table, stack: Word, x: int) -> Word:
+    """Push ``x`` onto a stack with no defined adjacent pair, then combine
+    the top two letters while their product is defined.  Pushing a word's
+    letters in turn is repeated leftmost contraction."""
+    while stack:
+        c = table[stack[-1]][x]
+        if c == UNDEF:
+            break
+        stack, x = stack[:-1], c
+    return stack + (x,)
 
 
 @dataclass(frozen=True)
@@ -196,14 +199,6 @@ def find_strip(p: Pree, w: Word) -> Optional[StripWitness]:
     return None
 
 
-def strip_reduce_once(p: Pree, w: Word) -> Optional[tuple[Word, StripWitness]]:
-    wit = find_strip(p, w)
-    if wit is None:
-        return None
-    out = w[: wit.start] + wit.output + w[wit.start + wit.top_length :]
-    return out, wit
-
-
 @dataclass(frozen=True)
 class TraceStep:
     kind: str  # "simple" | "strip"
@@ -239,31 +234,31 @@ def apply_trace(p: Pree, w: Word, trace: ReductionTrace) -> Word:
 def strongly_reduce(p: Pree, w: Word) -> tuple[Word, ReductionTrace]:
     """Contract and strip to a fixpoint, simple reductions first.
 
-    Each step shortens the word by one, so at most len(w) - 1 steps run.
+    Letters fold through ``contract_push``, which contracts leftmost; a
+    strip leaves a prefix with no defined pair, and the fold resumes after
+    it.  Each step shortens the word by one, so at most len(w) - 1 run.
     """
     if len(w) == 0:
         raise PreeError("empty word")
     steps: list[TraceStep] = []
+    stack: Word = ()
     while True:
-        got = reduce_once(p, w)
-        if got is not None:
-            w, pos = got
-            steps.append(TraceStep(kind="simple", position=pos))
-            continue
-        got2 = strip_reduce_once(p, w)
-        if got2 is not None:
-            w, wit = got2
-            steps.append(TraceStep(kind="strip", position=wit.start, witness=wit))
-            continue
-        return w, ReductionTrace(steps=tuple(steps))
+        for x in w:
+            n = len(stack)
+            stack = contract_push(p.table, stack, x)
+            for i in range(n - 1, len(stack) - 2, -1):
+                steps.append(TraceStep(kind="simple", position=i))
+        wit = find_strip(p, stack)
+        if wit is None:
+            return stack, ReductionTrace(steps=tuple(steps))
+        steps.append(TraceStep(kind="strip", position=wit.start, witness=wit))
+        stack, w = stack[: wit.start], wit.output + stack[wit.start + wit.top_length :]
 
 
 def is_geodesic_word(p: Pree, w: Word) -> bool:
     """Irreducible, strip-free, and not the one-letter identity word."""
-    if len(w) == 0:
+    if len(w) == 0 or w == (p.identity,):
         return False
-    if len(w) == 1:
-        return w[0] != p.identity
-    if reduce_once(p, w) is not None:
+    if any(p.table[a][b] != UNDEF for a, b in zip(w, w[1:])):
         return False
     return find_strip(p, w) is None

@@ -13,6 +13,8 @@ from preekit import cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
+TRACE_WORD = "(-1,-1) (-1,0) (0,1) (1,1)"
+
 GOLDEN_CASES = [
     ("zxz_verify", ["verify", fixture_path("zxz")], 0),
     ("s3_verify", ["verify", fixture_path("s3")], 0),
@@ -23,6 +25,13 @@ GOLDEN_CASES = [
     ("cycle4_axioms", ["axioms", fixture_path("cycle4")], 1),
     ("cycle5_axioms", ["axioms", fixture_path("cycle5")], 1),
     ("broken_closure_validate", ["validate", fixture_path("broken_closure")], 3),
+    # a strip at 0, then a contraction at 1
+    ("zxz_reduce_trace", ["reduce", fixture_path("zxz"), TRACE_WORD, "--trace"], 0),
+    (
+        "zxz_reduce_trace_records",
+        ["reduce", fixture_path("zxz"), TRACE_WORD, "--trace", "--format", "records"],
+        0,
+    ),
 ]
 
 

@@ -24,7 +24,7 @@ from preekit.diagrams import (
     reduce_internal_vertex,
     single_triangle,
 )
-from preekit.words import inverse_word, parse_word, strip_reduce_once
+from preekit.words import find_strip, inverse_word, parse_word
 
 
 def _canon(p, w):
@@ -135,7 +135,7 @@ def test_curvature_identity_on_random_diagrams(zxz, s3, q8):
 
 def test_strip_diagram_reads_top_then_inverse_output(zxz):
     w = parse_word(zxz, "(0,1) (1,1) (1,0)")
-    _, wit = strip_reduce_once(zxz, w)
+    wit = find_strip(zxz, w)
     d = diagram_from_strip(zxz, wit)
     n = len(wit.top)
     assert d.area == 2 * n - 3

@@ -25,7 +25,7 @@ from preekit.fsa import (
 )
 from preekit.group import cayley_ball, equals_identity, verify_short_identities
 from preekit.pree import UNDEF
-from preekit.words import find_strip, is_geodesic_word, parse_word, strip_reduce_once
+from preekit.words import find_strip, is_geodesic_word, parse_word
 
 
 def _sim(m, w):
@@ -159,7 +159,9 @@ def test_geodesic_acceptor_on_full_table_is_tiny(s3):
 def test_strip_pair_recognizer_accepts_the_witnessed_pair(zxz):
     rec = strip_reduction_pair_recognizer(zxz)
     w = parse_word(zxz, "(0,1) (1,1) (1,0)")
-    out, _ = strip_reduce_once(zxz, w)
+    wit = find_strip(zxz, w)
+    assert wit.top == w  # the strip covers the word, so the output is all of it
+    out = wit.output
     pair = list(zip(w, out + (PAD,)))
     assert rec.accepts(pair)
     bad = list(zip(w, (w[0],) + out[:1] + (PAD,)))

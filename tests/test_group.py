@@ -385,6 +385,13 @@ def test_ball_is_cached(zxz):
     assert cayley_ball(zxz, 2) is cayley_ball(zxz, 2)
 
 
+def test_ball_past_the_element_cap_raises(monkeypatch):
+    # the zxz ball of radius 3 has 37 elements
+    monkeypatch.setattr(group, "BALL_ELEMENT_CAP", 36)
+    with pytest.raises(PreeError, match="ball exceeds element cap"):
+        cayley_ball(load_fixture("zxz"), 3)
+
+
 def test_ball_reps_biject_onto_the_plane_ball(zxz):
     r = 3
     ball = cayley_ball(zxz, r)

@@ -1,11 +1,12 @@
-"""The strip relation against the code it replaced.
+"""The strip relation and the reducer against the code they replaced.
 
 ``words.strip_masks`` is the one encoding of the strip relation.  The
 references below are the strip search, its dynamic program and the pair
 recognizer as they were written before it, each scanning the table on
-its own; they are kept unchanged as differential oracles for the
-witnesses, the reduction traces, the geodesic test and the automata
-built on the masks.
+its own, and the reducer as it was written before it folded its words
+through ``contract_push``, rescanning from the left after every step;
+they are kept unchanged as differential oracles for the witnesses, the
+reduction traces, the geodesic test and the automata built on the masks.
 """
 
 import random
@@ -16,8 +17,17 @@ import pytest
 from conftest import load_fixture, solver_tables
 from preekit import fsa, words
 from preekit.fsa import PAD, FiniteAutomaton, geodesic_acceptor, pair_alphabet, strip_reduction_pair_recognizer
-from preekit.pree import UNDEF, Pree
-from preekit.words import StripWitness, Word, find_strip, is_geodesic_word, strip_masks, strongly_reduce
+from preekit.pree import UNDEF, Pree, PreeError
+from preekit.words import (
+    ReductionTrace,
+    StripWitness,
+    TraceStep,
+    Word,
+    find_strip,
+    is_geodesic_word,
+    strip_masks,
+    strongly_reduce,
+)
 
 
 def reference_strip_dp(p: Pree, a: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -139,6 +149,45 @@ def reference_find_strip(p: Pree, w: Word) -> Optional[StripWitness]:
     return None
 
 
+def reference_reduce_once(p: Pree, w: Word) -> Optional[tuple[Word, int]]:
+    """Contract the leftmost adjacent pair with a defined product."""
+    for i in range(len(w) - 1):
+        c = p.table[w[i]][w[i + 1]]
+        if c != UNDEF:
+            return w[:i] + (c,) + w[i + 2 :], i
+    return None
+
+
+def reference_strip_reduce_once(p: Pree, w: Word) -> Optional[tuple[Word, StripWitness]]:
+    wit = find_strip(p, w)
+    if wit is None:
+        return None
+    out = w[: wit.start] + wit.output + w[wit.start + wit.top_length :]
+    return out, wit
+
+
+def reference_strongly_reduce(p: Pree, w: Word) -> tuple[Word, ReductionTrace]:
+    """Contract and strip to a fixpoint, simple reductions first.
+
+    Each step shortens the word by one, so at most len(w) - 1 steps run.
+    """
+    if len(w) == 0:
+        raise PreeError("empty word")
+    steps: list[TraceStep] = []
+    while True:
+        got = reference_reduce_once(p, w)
+        if got is not None:
+            w, pos = got
+            steps.append(TraceStep(kind="simple", position=pos))
+            continue
+        got2 = reference_strip_reduce_once(p, w)
+        if got2 is not None:
+            w, wit = got2
+            steps.append(TraceStep(kind="strip", position=wit.start, witness=wit))
+            continue
+        return w, ReductionTrace(steps=tuple(steps))
+
+
 def reference_pair_recognizer(p: Pree) -> FiniteAutomaton:
     """Pairs (u, v$) where v is u with one strip reduction applied.
 
@@ -221,6 +270,15 @@ def test_traces_and_geodesic_verdicts_match_the_reference(name, p, monkeypatch):
     got = [(strongly_reduce(p, w), is_geodesic_word(p, w)) for w in ws]
     monkeypatch.setattr(words, "find_strip", reference_find_strip)
     assert got == [(strongly_reduce(p, w), is_geodesic_word(p, w)) for w in ws], name
+
+
+@TABLES
+def test_reductions_match_the_rescanning_reducer(name, p):
+    """Same reduced word and same steps, on short words and on words up
+    to 256 letters; the dataclasses compare each step's kind, position
+    and every witness field."""
+    for w in _words(p, 3, 100, 20) + _words(p, 4, 10, 256):
+        assert strongly_reduce(p, w) == reference_strongly_reduce(p, w), (name, w)
 
 
 def _machine(m):

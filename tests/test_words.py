@@ -6,17 +6,16 @@ import random
 import pytest
 
 from conftest import all_words, table_fold, zxz_distance, zxz_vector
-from preekit.pree import PreeError
+from preekit.pree import UNDEF, PreeError
 from preekit.words import (
+    ReductionTrace,
     StripWitness,
     apply_trace,
     find_strip,
     inverse_word,
     is_geodesic_word,
     parse_word,
-    reduce_once,
     render_word,
-    strip_reduce_once,
     strongly_reduce,
 )
 
@@ -24,6 +23,17 @@ from preekit.words import (
 def _random_word(rng, p, length):
     letters = p.nonidentity()
     return tuple(rng.choice(letters) for _ in range(length))
+
+
+def _has_defined_pair(p, w):
+    return any(p.table[a][b] != UNDEF for a, b in zip(w, w[1:]))
+
+
+def _strip(p, w):
+    """The word after its leftmost strip, and the strip's witness."""
+    wit = find_strip(p, w)
+    assert wit is not None
+    return w[: wit.start] + wit.output + w[wit.start + wit.top_length :], wit
 
 
 def test_parse_render_roundtrip(zxz, s3):
@@ -56,23 +66,22 @@ def test_inverse_word_cancels(zxz):
         assert red == (zxz.identity,)
 
 
-def test_reduce_once_contracts_leftmost(zxz):
+def test_first_step_contracts_leftmost(zxz):
     w = parse_word(zxz, "(1,0) (0,1) (1,0) (0,1)")
-    got = reduce_once(zxz, w)
-    assert got is not None
-    out, pos = got
-    assert pos == 0
-    assert out == parse_word(zxz, "(1,1) (1,0) (0,1)")
+    _, trace = strongly_reduce(zxz, w)
+    assert trace.steps
+    first = trace.steps[0]
+    assert first.kind == "simple"
+    assert first.position == 0
+    assert apply_trace(zxz, w, ReductionTrace(trace.steps[:1])) == parse_word(zxz, "(1,1) (1,0) (0,1)")
 
 
 def test_strip_reduces_the_known_nongeodesic(zxz):
     # No adjacent product is defined here, yet the word is one letter too
     # long; only a strip can see that.
     w = parse_word(zxz, "(0,1) (1,1) (1,0)")
-    assert reduce_once(zxz, w) is None
-    got = strip_reduce_once(zxz, w)
-    assert got is not None
-    out, wit = got
+    assert not _has_defined_pair(zxz, w)
+    out, wit = _strip(zxz, w)
     wit.validate(zxz)
     assert wit.start == 0 and wit.top == w
     assert len(out) == 2
@@ -81,7 +90,7 @@ def test_strip_reduces_the_known_nongeodesic(zxz):
 
 def test_strip_witness_validate_rejects_tampering(zxz):
     w = parse_word(zxz, "(0,1) (1,1) (1,0)")
-    _, wit = strip_reduce_once(zxz, w)
+    wit = find_strip(zxz, w)
     wrong = zxz.identity if wit.output[0] != zxz.identity else zxz.nonidentity()[0]
     bad = StripWitness(start=wit.start, top=wit.top, diagonals=wit.diagonals,
                        output=(wrong,) + wit.output[1:])
@@ -93,10 +102,8 @@ def test_strip_prefers_leftmost_start(zxz):
     # A length-3 strip exists at position 1, but position 0 carries a
     # length-4 strip and the leftmost start wins.
     w = parse_word(zxz, "(0,1) (0,1) (1,1) (1,0)")
-    assert reduce_once(zxz, w) is None
-    got = strip_reduce_once(zxz, w)
-    assert got is not None
-    _, wit = got
+    assert not _has_defined_pair(zxz, w)
+    _, wit = _strip(zxz, w)
     wit.validate(zxz)
     assert wit.start == 0
     assert wit.top_length == 4
@@ -104,9 +111,7 @@ def test_strip_prefers_leftmost_start(zxz):
 
 def test_strip_prefers_shortest_at_one_start(zxz):
     w = parse_word(zxz, "(0,1) (1,1) (1,0) (0,1)")
-    got = strip_reduce_once(zxz, w)
-    assert got is not None
-    _, wit = got
+    _, wit = _strip(zxz, w)
     assert wit.start == 0
     assert wit.top_length == 3
 
@@ -126,7 +131,7 @@ def test_strongly_reduce_hits_the_metric(zxz):
         else:
             assert len(red) == d
         assert apply_trace(zxz, w, trace) == red
-        assert reduce_once(zxz, red) is None
+        assert not _has_defined_pair(zxz, red)
         assert find_strip(zxz, red) is None
 
 
