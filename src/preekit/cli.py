@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .pree import Pree, PreeError, load_pree, validate_pree
+from .pree import Pree, PreeError, load_pree
 from .words import ReductionTrace, apply_trace, parse_word, render_word, strongly_reduce
 from .group import (
     axioms_hold,
@@ -60,7 +60,7 @@ def _load(path: str) -> Pree:
 def _load_valid(path: str) -> Pree:
     """The table, for commands that trust it: exit 3 unless it validates."""
     p = _load(path)
-    rep = validate_pree(p)
+    rep = p.validation
     if not rep.ok:
         raise _fail(3, "%s: %s" % (path, rep.problems[0]))
     return p
@@ -107,7 +107,7 @@ def _report_lines(rep, fmt: str, record_name: str) -> list[str]:
 
 def cmd_validate(args) -> int:
     p = _load(args.pree)
-    rep = validate_pree(p)
+    rep = p.validation
     _emit(_report_lines(rep, args.format, rep.name))
     return 0 if rep.ok else 3
 
@@ -237,7 +237,7 @@ def cmd_fellow(args) -> int:
             "words\t%d" % rep.words_checked,
             "pairs\t%d" % rep.pairs_checked,
         ]
-        if rep.worst_u:
+        if rep.max_separation:
             lines.append("worst_u\t" + _show(p, rep.worst_u))
             lines.append("worst_v\t" + _show(p, rep.worst_v))
     else:
@@ -313,7 +313,7 @@ def cmd_export_fsa(args) -> int:
 def cmd_verify(args) -> int:
     p = _load(args.pree)
     rows: list[tuple[str, Optional[bool], str]] = []
-    vrep = validate_pree(p)
+    vrep = p.validation
     rows.append(("pree-structure", vrep.ok, "" if vrep.ok else vrep.problems[0]))
     w4, w5 = p.axiom_witnesses
     rows.append(("axiom-4-cycles", w4 is None, "" if w4 is None else w4.render(p)))

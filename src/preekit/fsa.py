@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .pree import UNDEF, Pree
-from .words import Word, contract_push, render_word, strip_masks
+from .words import contract_push, strip_masks
 # equals_identity is no longer called here; it stays importable as fsa.equals_identity
 from .group import (  # noqa: F401
-    cayley_ball, equals_identity, neighbor_pairs, require_solver, stack_is_identity,
+    FellowTravelerReport, cayley_ball, equals_identity, fellow_traveler_check, require_solver,
+    stack_is_identity,
 )
 
 PAD = -2
@@ -450,51 +451,24 @@ def combing_acceptor(p: Pree) -> FiniteAutomaton:
     return geodesic_acceptor(p).intersect(windows).minimize()
 
 
-@dataclass
-class FailureWitness:
-    """A candidate pair whose difference left the tracked ball."""
-
-    u: Word
-    v: Word
-    step: int
-
-    def render(self, p: Pree) -> str:
-        return "difference exceeds bound at step %d for pair [%s] [%s]" % (
-            self.step,
-            render_word(p, self.u),
-            render_word(p, self.v),
-        )
-
-
 def word_difference_machine(
     p: Pree, language: FiniteAutomaton, K: int, R: int
-) -> Union[FiniteAutomaton, FailureWitness]:
+) -> Union[FiniteAutomaton, FellowTravelerReport]:
     """Synchronous pair machine with word differences as ball elements.
 
-    First sweeps all pairs of accepted words of length <= R whose
-    endpoints coincide or differ by a generator; if any such pair's
-    running difference leaves the radius-K ball, that is a failure
-    witness.  Otherwise builds the product machine (language state,
-    language state, difference, pad flags), pruning transitions whose
-    difference exits the ball, and accepts padded pairs that end with
-    both words accepted and difference of length <= 1.
+    First runs ``fellow_traveler_check(p, language, R, K)``; a failing
+    report is returned as the witness, naming the worst pair.  Otherwise
+    builds the product machine (language state, language state,
+    difference, pad flags) on the check's ball, pruning transitions
+    whose difference leaves the radius-K ball, and accepts padded pairs
+    that end with both words accepted and difference of length <= 1.
     """
-    arena = cayley_ball(p, K + 1)
-    dist, step, left, inv = arena.dist, arena.step, arena.left, p.inv
-
-    # endpoints live at distance <= R; one extra layer keeps their
-    # neighbor lookups inside complete rows
-    ball = cayley_ball(p, R + 1)
-    words = [tuple(w) for w in language.enumerate_words(R)]
-    for u, v in neighbor_pairs(p, ball, words):
-        d = 0
-        for s in range(max(len(u), len(v))):
-            if s < len(u):
-                d = left[d][inv[u[s]]]
-            if d != -1 and s < len(v):
-                d = step[d][v[s]]
-            if d == -1 or dist[d] > K:
-                return FailureWitness(u=u, v=v, step=s + 1)
+    report = fellow_traveler_check(p, language, R, K)
+    if not report.ok:
+        return report
+    # the check's ball, cached on the table; any radius above K builds the same machine
+    ball = cayley_ball(p, max(R + 1, K + 2))
+    dist, step, left, inv = ball.dist, ball.step, ball.left, p.inv
 
     D = language.determinize()
     q0 = next(iter(D.initial))

@@ -91,6 +91,11 @@ class Pree:
         return self.derived("axiom_witnesses", lambda: (check_axiom(self, 4), check_axiom(self, 5)))
 
     @property
+    def validation(self) -> VerificationReport:
+        """validate_pree's report on this table, made once per table."""
+        return self.derived("validation", lambda: validate_pree(self))
+
+    @property
     def solver_problem(self) -> Optional[str]:
         """Why the word solver's verdicts do not hold on this table, or None.
 
@@ -99,7 +104,7 @@ class Pree:
         """
 
         def build():
-            rep = validate_pree(self)
+            rep = self.validation
             if not rep.ok:
                 return "the table is invalid: " + rep.problems[0]
             return None if self.axiom_witnesses == (None, None) else "a short-cycle axiom fails"

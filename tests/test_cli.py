@@ -32,6 +32,14 @@ GOLDEN_CASES = [
         ["reduce", fixture_path("zxz"), TRACE_WORD, "--trace", "--format", "records"],
         0,
     ),
+    ("zxz_fellow_r4_k3", ["fellow", fixture_path("zxz"), "-r", "4", "-k", "3"], 0),
+    # fails, with the empty word in the worst pair
+    ("zxz_fellow_r3_k0", ["fellow", fixture_path("zxz"), "-r", "3", "-k", "0"], 1),
+    (
+        "zxz_fellow_r3_k0_records",
+        ["fellow", fixture_path("zxz"), "-r", "3", "-k", "0", "--format", "records"],
+        1,
+    ),
 ]
 
 

@@ -12,7 +12,6 @@ from conftest import all_words, load_fixture, solver_tables
 from preekit import group
 from preekit.fsa import (
     PAD,
-    FailureWitness,
     FiniteAutomaton,
     build_combing_table,
     combing_acceptor,
@@ -23,7 +22,9 @@ from preekit.fsa import (
     strip_reduction_pair_recognizer,
     word_difference_machine,
 )
-from preekit.group import cayley_ball, equals_identity, verify_short_identities
+from preekit.group import (
+    FellowTravelerReport, cayley_ball, equals_identity, neighbor_pairs, verify_short_identities,
+)
 from preekit.pree import UNDEF
 from preekit.words import find_strip, is_geodesic_word, parse_word
 
@@ -225,8 +226,44 @@ def test_word_difference_machine_small(zxz):
 
 def test_word_difference_machine_reports_tight_bound_failures(zxz):
     got = word_difference_machine(zxz, combing_acceptor(zxz), 0, 3)
-    assert isinstance(got, FailureWitness)
-    assert "difference exceeds" in got.render(zxz)
+    assert isinstance(got, FellowTravelerReport)
+    assert not got.ok
+    assert got.max_separation == 1
+    assert "worst pair: [] [(0,1)]" in got.render(zxz)
+
+
+def reference_pre_sweep(p, language, K, R):
+    """The word-difference machine's own pair sweep before it ran the
+    fellow-traveler check, verbatim but for returning the failing pair."""
+    arena = cayley_ball(p, K + 1)
+    dist, step, left, inv = arena.dist, arena.step, arena.left, p.inv
+
+    # endpoints live at distance <= R; one extra layer keeps their
+    # neighbor lookups inside complete rows
+    ball = cayley_ball(p, R + 1)
+    words = [tuple(w) for w in language.enumerate_words(R)]
+    for u, v in neighbor_pairs(p, ball, words):
+        d = 0
+        for s in range(max(len(u), len(v))):
+            if s < len(u):
+                d = left[d][inv[u[s]]]
+            if d != -1 and s < len(v):
+                d = step[d][v[s]]
+            if d == -1 or dist[d] > K:
+                return u, v
+    return None
+
+
+def test_machine_fails_exactly_when_the_pre_sweep_did():
+    for name in ("zxz", "s3", "z6", "q8"):
+        p = load_fixture(name)
+        lang = combing_acceptor(p)
+        for K in range(4):
+            for R in range(5):
+                got = word_difference_machine(p, lang, K, R)
+                failed = reference_pre_sweep(p, lang, K, R) is not None
+                assert isinstance(got, FellowTravelerReport) == failed, (name, K, R)
+                assert isinstance(got, FiniteAutomaton) != failed, (name, K, R)
 
 
 def test_word_difference_machine_language_is_sound(zxz):

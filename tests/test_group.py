@@ -215,6 +215,18 @@ def test_axiom_witnesses_are_searched_once_per_table(monkeypatch):
         assert calls == [4, 5], name
 
 
+def test_tables_are_validated_once_per_command(monkeypatch):
+    calls = []
+    validate = pree.validate_pree
+    for module in (pree, group, cli):
+        if hasattr(module, "validate_pree"):
+            monkeypatch.setattr(module, "validate_pree", lambda p: calls.append(p) or validate(p))
+    for argv in (["verify", fixture_path("zxz")], ["reduce", fixture_path("zxz"), "(1,0) (0,1)"]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(calls) == 1, argv
+
+
 def test_obstruction_rules_out_unbalanced_words(taxicab, zxz):
     x = taxicab.id_of("(1,0)")
     assert bfs_identity_oracle(taxicab, (x, x)) is False
@@ -434,6 +446,25 @@ def test_ball_left_rows_multiply_on_the_left(s3):
             assert f != -1 and g != -1
             assert fold[f] == s3.product(fold[e], x)
             assert fold[g] == s3.product(x, fold[e])
+
+
+def test_ball_left_row_of_the_identity_is_its_step_row():
+    # x * 1 = 1 * x, so the root's left row needs no lookups of its own
+    for name in ("zxz", "s3", "z6", "q8", "taxicab", "cycle4", "cycle5"):
+        p = load_fixture(name)
+        # the oracle decides the cycle tables' balls up to radius 1
+        method, radii = ("dehn", range(5)) if axioms_hold(p) else ("oracle", range(2))
+        for r in radii:
+            ball = cayley_ball(p, r, method=method)
+            assert ball.left[0] == ball.step[0], (name, r)
+
+
+def test_oracle_ball_of_radius_zero_is_the_identity(s3, q8):
+    # the root's left row holds no letters at radius 0, so no oracle search runs
+    for p in (s3, q8):
+        ball = cayley_ball(p, 0, method="oracle")
+        assert ball.size == 1
+        assert ball.left[0] == ball.step[0]
 
 
 def test_full_table_balls_saturate(s3, z6, q8):
