@@ -199,58 +199,64 @@ def attach_triangle(
     factors: the sides at pos and pos+1, reading x and y with x*y
     defined, are covered together; the boundary shrinks by one.
     """
+    parts = (d.n_vertices, d.edges, d.faces, d.boundary)
     if factors is not None:
-        return _split(d, pos, factors[0], factors[1])
-    return _fold(d, pos)
+        return Diagram(d.pree, *_split(d.pree, parts, pos, factors[0], factors[1]))
+    return Diagram(d.pree, *_fold(d.pree, parts, pos))
 
 
-def _split(d: Diagram, pos: int, e: int, f: int) -> Diagram:
-    p = d.pree
-    n = len(d.boundary)
-    s = d.boundary[pos % n]
-    x = d.side_label(s)
+# _split and _fold map the raw parts (n_vertices, edges, faces, boundary)
+# of a diagram to those of the next and check only the move itself.
+Parts = tuple[int, tuple, tuple, tuple]
+
+
+def _oriented(p: Pree, edges: tuple, s: Side) -> tuple[int, int, int]:
+    """Tail, head and label of side s."""
+    u, v, lab = edges[s[0]]
+    return (u, v, lab) if s[1] else (v, u, p.inv[lab])
+
+
+def _split(p: Pree, parts: Parts, pos: int, e: int, f: int) -> Parts:
+    m, edges, faces, boundary = parts
+    pos %= len(boundary)
+    s = boundary[pos]
+    u, v, x = _oriented(p, edges, s)
     if p.table[e][f] != x:
         raise DiagramError(
             "factors %s %s do not multiply to %s" % (p.name(e), p.name(f), p.name(x))
         )
-    u, v = d.side_tail(s), d.side_head(s)
-    m = d.n_vertices
-    e1 = len(d.edges)
+    e1 = len(edges)
     e2 = e1 + 1
-    edges = d.edges + ((u, m, e), (m, v, f))
-    face = (s, (e2, False), (e1, False))
-    faces = d.faces + (face,)
-    pos %= n
-    boundary = d.boundary[:pos] + ((e1, True), (e2, True)) + d.boundary[pos + 1 :]
-    return Diagram(p, m + 1, edges, faces, boundary)
+    edges = edges + ((u, m, e), (m, v, f))
+    faces = faces + ((s, (e2, False), (e1, False)),)
+    boundary = boundary[:pos] + ((e1, True), (e2, True)) + boundary[pos + 1 :]
+    return m + 1, edges, faces, boundary
 
 
-def _fold(d: Diagram, pos: int) -> Diagram:
-    p = d.pree
-    n = len(d.boundary)
+def _fold(p: Pree, parts: Parts, pos: int) -> Parts:
+    m, edges, faces, boundary = parts
+    n = len(boundary)
     if n < 3:
         raise DiagramError("cannot fold a boundary of length 2")
     pos %= n
-    s1 = d.boundary[pos]
-    s2 = d.boundary[(pos + 1) % n]
-    x, y = d.side_label(s1), d.side_label(s2)
+    s1 = boundary[pos]
+    s2 = boundary[(pos + 1) % n]
+    u, _, x = _oriented(p, edges, s1)
+    _, w, y = _oriented(p, edges, s2)
     z = p.table[x][y]
     if z == UNDEF:
         raise DiagramError(
             "product of %s and %s is not defined" % (p.name(x), p.name(y))
         )
-    u = d.side_tail(s1)
-    w = d.side_head(s2)
     if u == w:
         raise DiagramError("fold would pinch the boundary")
-    eid = len(d.edges)
-    edges = d.edges + ((u, w, z),)
-    faces = d.faces + ((s1, s2, (eid, False)),)
-    if (pos + 1) % n == 0:
-        boundary = ((eid, True),) + d.boundary[1 : n - 1]
+    eid = len(edges)
+    faces = faces + ((s1, s2, (eid, False)),)
+    if pos == n - 1:
+        boundary = ((eid, True),) + boundary[1 : n - 1]
     else:
-        boundary = d.boundary[:pos] + ((eid, True),) + d.boundary[pos + 2 :]
-    return Diagram(p, d.n_vertices, edges, faces, boundary)
+        boundary = boundary[:pos] + ((eid, True),) + boundary[pos + 2 :]
+    return m, edges + ((u, w, z),), faces, boundary
 
 
 def _rebuild(
@@ -585,6 +591,19 @@ def _triangle_reading(p: Pree, rep: Word) -> Optional[Word]:
     return None
 
 
+def _first_reading(inv: dict[int, int], fwd: str, exact: str) -> tuple[int, int]:
+    """Start and direction of the first of Diagram.readings() spelling exact.
+
+    fwd codes the boundary labels as in _canonical.  The forward reading
+    from s rotates fwd by s, the backward one rotates bwd by n - 1 - s, and
+    readings() orders by start, forward first.  (-1, 1) if none spells it.
+    """
+    n = len(fwd)
+    bwd = fwd.translate(inv)[::-1]
+    s, r = (fwd + fwd).find(exact), (bwd + bwd).rfind(exact, 0, 2 * n - 1)
+    return (n - 1 - r, -1) if r >= 0 and (s < 0 or n - 1 - r < s) else (s, 1)
+
+
 def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagram]:
     """Smallest diagram whose boundary reads w up to rotation/inversion.
 
@@ -605,7 +624,9 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     parents pop; its expanding parents are all one length, so they popped
     in (g, rep) order and their entries sort alike.  Every child thus gets
     the parent, and w the diagram, of an eager search.  Words are coded as
-    str (see _canonical); the path found is replayed by attach_triangle.
+    str (see _canonical).  The path found is replayed on raw diagram parts
+    by the split and fold of attach_triangle, each step finding its reading
+    by str.find, and the one Diagram built at the end validates itself.
     """
     if len(w) < 2:
         raise PreeError("boundary word needs length >= 2")
@@ -622,7 +643,8 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
     def push(g: int, rep: str, children: list) -> None:
         ng, room = g + 1, max_area - 2 - g
         for move, child in children:
-            cc = _canonical(inv, child)
+            # keys of best_g are canonical, and _canonical is idempotent
+            cc = child if child in best_g else _canonical(inv, child)
             if room == 0 and cc not in triangles:
                 continue
             if ng < best_g.get(cc, ng + 1):
@@ -663,32 +685,22 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagr
         return None
 
     x1, x2, x3 = _triangle_reading(p, tuple(map(ord, goal)))
-    d = single_triangle(p, x1, x2)
+    t = single_triangle(p, x1, x2)
+    parts = (t.n_vertices, t.edges, t.faces, t.boundary)
     node = goal
     while node != start:
-        parent_s, (kind, i), exact_s = parents[node]
-        parent, exact = tuple(map(ord, parent_s)), tuple(map(ord, exact_s))
-        match = next(
-            (s, dr) for s, dr, word in d.readings() if word == exact
-        )
-        offset, direction = match
-        n_child = len(exact)
-        if kind == "c":
-            np_ = len(parent)
-            j = i if i < np_ - 1 else 0
-            x, y = parent[i], parent[(i + 1) % np_]
-            pos = (offset + direction * j) % n_child
-            if direction == 1:
-                d = attach_triangle(d, pos, (x, y))
-            else:
-                d = attach_triangle(d, pos, (inv[y], inv[x]))
-        else:
-            if direction == 1:
-                d = attach_triangle(d, (offset + i) % n_child)
-            else:
-                d = attach_triangle(d, (offset - i - 1) % n_child)
-        node = parent_s
-    return d
+        parent, (kind, i), exact = parents[node]
+        fwd = "".join(chr(_oriented(p, parts[1], s)[2]) for s in parts[3])
+        offset, direction = _first_reading(inv, fwd, exact)
+        n = len(fwd)
+        if kind == "c":  # split the letter that pair i of parent became
+            x, y = ord(parent[i]), ord(parent[(i + 1) % (n + 1)])
+            pos = (offset + direction * (i if i < n else 0)) % n
+            parts = _split(p, parts, pos, *((x, y) if direction == 1 else (inv[y], inv[x])))
+        else:  # fold the pair that letter i of parent became
+            parts = _fold(p, parts, (offset + i if direction == 1 else offset - i - 1) % n)
+        node = parent
+    return Diagram(p, *parts)
 
 
 def diagram_to_text(d: Diagram) -> str:

@@ -19,6 +19,7 @@ from conftest import dihedral_subtable, load_fixture
 from preekit.diagrams import (
     Diagram,
     _canonical,
+    _first_reading,
     _triangle_reading,
     attach_triangle,
     find_minimal_diagram,
@@ -229,5 +230,38 @@ def test_canonical_codes_large_alphabets():
             w = tuple(rng.choice(letters) for _ in range(rng.randrange(2, 14)))
             got = _canonical(dict(enumerate(inv)), "".join(map(chr, w)))
             assert tuple(map(ord, got)) == reference_canonical(p, w)
+            # the search skips _canonical on a child that is already a key
+            assert _canonical(dict(enumerate(inv)), got) == got
             top = max(top, *w)
     assert top > 900
+
+
+def assert_first_readings(p, d):
+    """_first_reading picks the first of d.readings() for every reading."""
+    inv = dict(enumerate(p.inv))
+    fwd = "".join(chr(d.side_label(s)) for s in d.boundary)
+    readings = d.readings()
+    for _, _, word in readings:
+        exact = "".join(map(chr, word))
+        first = next((s, dr) for s, dr, x in readings if x == word)
+        assert _first_reading(inv, fwd, exact) == first
+    return len(readings) - len({word for _, _, word in readings})
+
+
+@pytest.mark.parametrize("name", [c[0] for c in CASES])
+def test_first_reading_matches_readings(name):
+    p = case_table(name)
+    rng = random.Random(4099)
+    for _ in range(60):
+        assert_first_readings(p, grow_random(p, random.Random(rng.getrandbits(32)), rng.randrange(1, 12)))
+    # digons, and boundaries that are periodic or a rotation of their
+    # inverse, have several readings of one word
+    repeats = 0
+    for a in range(1, p.size):
+        for w in ((a, p.inv[a]), (a, p.inv[a]) * 2, (a,) * 3 + (p.inv[a],) * 3):
+            d = find_minimal_diagram(p, w, max_area=8)
+            if d is not None:
+                repeats += assert_first_readings(p, d)
+    assert repeats > 0
+    a = next(x for x in range(p.size) if p.inv[x] != x)
+    assert _first_reading(dict(enumerate(p.inv)), chr(a) + chr(p.inv[a]), chr(a) * 2) == (-1, 1)

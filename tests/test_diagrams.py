@@ -12,6 +12,7 @@ import pytest
 from conftest import zxz_vector
 from preekit.diagrams import (
     DiagramError,
+    _fold,
     attach_triangle,
     curvature_check,
     diagram_from_strip,
@@ -122,6 +123,38 @@ def test_attach_fold_shrinks_boundary(zxz):
     assert d3.area == 3
     assert len(d3.boundary) == len(d2.boundary) - 1
     assert curvature_check(d3)[2]
+
+
+def test_attach_rejects_factors_of_another_label(zxz):
+    d = _tri(zxz)  # side 0 reads (1,0)
+    with pytest.raises(DiagramError, match="do not multiply to"):
+        attach_triangle(d, 0, (zxz.id_of("(0,1)"), zxz.id_of("(1,0)")))
+
+
+def test_attach_rejects_fold_with_undefined_product(zxz):
+    d = attach_triangle(_tri(zxz), 0, (zxz.id_of("(0,-1)"), zxz.id_of("(1,1)")))
+    assert d.boundary_word() == parse_word(zxz, "(0,-1) (1,1) (0,1) (-1,-1)")
+    with pytest.raises(DiagramError, match="product of .* is not defined"):
+        attach_triangle(d, 1)  # (1,1) (0,1)
+
+
+def test_attach_rejects_fold_of_a_digon(zxz):
+    d = attach_triangle(_tri(zxz), 0)
+    assert d.boundary_word() == parse_word(zxz, "(1,1) (-1,-1)")
+    for pos in (0, 1):
+        with pytest.raises(DiagramError, match="cannot fold a boundary of length 2"):
+            attach_triangle(d, pos)
+
+
+def test_fold_rejects_a_pinch(zxz):
+    """A validated diagram has a simple boundary, so a fold on three or
+    more sides never pinches it; the raw parts that find_minimal_diagram
+    folds between validations can, and the fold itself must refuse."""
+    a = zxz.id_of("(1,0)")
+    edges = ((0, 1, a), (1, 0, zxz.inv[a]), (0, 1, a))
+    parts = (2, edges, (), ((0, True), (1, True), (2, True)))
+    with pytest.raises(DiagramError, match="fold would pinch the boundary"):
+        _fold(zxz, parts, 0)
 
 
 def test_curvature_identity_on_random_diagrams(zxz, s3, q8):

@@ -6,10 +6,12 @@ Run from the repository root:  python3 tools/make_fixtures.py
 import os
 import sys
 
-from preekit.pree import check_axiom, load_pree, validate_pree
-from preekit.group import cayley_ball
-
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
+
+from preekit.pree import check_axiom, load_pree, validate_pree  # noqa: E402
+from preekit.group import cayley_ball  # noqa: E402
+
 OUT = os.path.join(HERE, os.pardir, "fixtures")
 
 
