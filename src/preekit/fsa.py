@@ -1,10 +1,12 @@
 """Finite automata and the regular languages attached to a pree.
 
 The toolkit half is generic (NFA/DFA, determinize, minimize, boolean
-algebra, bounded enumeration).  The language half builds acceptors for
-irreducible words, for the pair relation "one strip reduction apart",
-for geodesics, for the combing sublanguage, and the synchronous
-word-difference machine over padded pairs.
+algebra, bounded enumeration); every machine it builds numbers its
+states with one breadth-first walk, ``_explore``.  The language half
+builds the recognizer for the pair relation "one strip reduction apart",
+the geodesic acceptor (read off ``words.geodesic_step``), the combing
+sublanguage, and the synchronous word-difference machine over padded
+pairs.
 
 Symbols are plain hashable values: element ids for word languages,
 (x, y) tuples for pair languages.  PAD (-2) marks the end-padding on
@@ -17,14 +19,31 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .pree import UNDEF, Pree
-from .words import contract_push, strip_masks
-# equals_identity is no longer called here; it stays importable as fsa.equals_identity
+from .words import contract_push, geodesic_step, strip_masks
+# cayley_ball and equals_identity are not called here; they stay importable as fsa attributes
 from .group import (  # noqa: F401
-    FellowTravelerReport, cayley_ball, equals_identity, fellow_traveler_check, require_solver,
-    stack_is_identity,
+    FellowTravelerReport, cayley_ball, equals_identity, fellow_ball, fellow_traveler_check,
+    require_solver, stack_is_identity,
 )
 
 PAD = -2
+
+
+def _explore(start, moves: Callable) -> tuple[list, dict]:
+    """Number the states reachable from ``start`` breadth-first, where
+    ``moves(state)`` yields (symbol, next state); returns the states in
+    that order and the transitions (number, symbol) -> (next number,)."""
+    index = {start: 0}
+    order = [start]
+    trans: dict = {}
+    for i, state in enumerate(order):  # reaches the states appended as it runs
+        for sym, nxt in moves(state):
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(order)
+                order.append(nxt)
+            trans[(i, sym)] = (j,)
+    return order, trans
 
 
 class FiniteAutomaton:
@@ -67,22 +86,14 @@ class FiniteAutomaton:
     def determinize(self) -> "FiniteAutomaton":
         if self.deterministic:
             return self
-        start = frozenset(self.initial)
-        index = {start: 0}
-        order = [start]
-        trans: dict = {}
-        qi = 0
-        while qi < len(order):
-            cur = order[qi]
+
+        def moves(cur):
             for sym in self.alphabet:
                 nxt = frozenset(t for s in cur for t in self.targets(s, sym))
-                if not nxt:
-                    continue
-                if nxt not in index:
-                    index[nxt] = len(order)
-                    order.append(nxt)
-                trans[(qi, sym)] = (index[nxt],)
-            qi += 1
+                if nxt:
+                    yield sym, nxt
+
+        order, trans = _explore(frozenset(self.initial), moves)
         accepting = [i for i, ss in enumerate(order) if ss & self.accepting]
         return FiniteAutomaton(len(order), self.alphabet, trans, [0], accepting)
 
@@ -129,54 +140,34 @@ class FiniteAutomaton:
                 break
             block = nxt
         # quotient, then BFS renumber from the initial block for stability
-        q0 = block[next(iter(c.initial))]
-        order = {q0: 0}
-        queue = [q0]
-        qtrans: dict = {}
         rep_of = {}
         for s in range(c.n_states):
             rep_of.setdefault(block[s], s)
-        qi = 0
-        while qi < len(queue):
-            b = queue[qi]
+
+        def moves(b):
             s = rep_of[b]
             for a in c.alphabet:
-                tb = block[c.targets(s, a)[0]]
-                if tb not in order:
-                    order[tb] = len(order)
-                    queue.append(tb)
-                qtrans[(order[b], a)] = (order[tb],)
-            qi += 1
-        accepting = sorted(
-            {order[block[s]] for s in c.accepting if block[s] in order}
-        )
+                yield a, block[c.targets(s, a)[0]]
+
+        order, qtrans = _explore(block[next(iter(c.initial))], moves)
+        accepted = {block[s] for s in c.accepting}
+        accepting = [i for i, b in enumerate(order) if b in accepted]
         return FiniteAutomaton(len(order), c.alphabet, qtrans, [0], accepting)
 
     def intersect(self, other: "FiniteAutomaton") -> "FiniteAutomaton":
         a, b = self.determinize(), other.determinize()
         if not (a.initial and b.initial):
             return FiniteAutomaton(1, a.alphabet, {}, [0], [])
-        start = (next(iter(a.initial)), next(iter(b.initial)))
-        index = {start: 0}
-        order = [start]
-        trans: dict = {}
-        qi = 0
-        while qi < len(order):
-            sa, sb = order[qi]
+
+        def moves(pair):
+            sa, sb = pair
             for sym in a.alphabet:
                 ta, tb = a.targets(sa, sym), b.targets(sb, sym)
                 if ta and tb:
-                    key = (ta[0], tb[0])
-                    if key not in index:
-                        index[key] = len(order)
-                        order.append(key)
-                    trans[(qi, sym)] = (index[key],)
-            qi += 1
-        accepting = [
-            i
-            for i, (sa, sb) in enumerate(order)
-            if sa in a.accepting and sb in b.accepting
-        ]
+                    yield sym, (ta[0], tb[0])
+
+        order, trans = _explore((next(iter(a.initial)), next(iter(b.initial))), moves)
+        accepting = [i for i, (sa, sb) in enumerate(order) if sa in a.accepting and sb in b.accepting]
         return FiniteAutomaton(len(order), a.alphabet, trans, [0], accepting)
 
     def union(self, other: "FiniteAutomaton") -> "FiniteAutomaton":
@@ -195,22 +186,6 @@ class FiniteAutomaton:
             list(self.initial) + [s + off for s in other.initial],
             list(self.accepting) + [s + off for s in other.accepting],
         )
-
-    def map_symbols(self, f: Callable) -> "FiniteAutomaton":
-        """Relabel symbols through f; None drops the transition."""
-        trans: dict = {}
-        alphabet = []
-        for sym in self.alphabet:
-            m = f(sym)
-            if m is not None and m not in alphabet:
-                alphabet.append(m)
-        for (s, sym), ts in self.transitions.items():
-            m = f(sym)
-            if m is None:
-                continue
-            key = (s, m)
-            trans[key] = tuple(sorted(set(trans.get(key, ()) + ts)))
-        return FiniteAutomaton(self.n_states, alphabet, trans, self.initial, self.accepting)
 
     def is_empty(self) -> bool:
         seen = set(self.initial)
@@ -302,25 +277,6 @@ def fsa_to_dot(m: FiniteAutomaton, name: Callable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _irreducible(p: Pree) -> FiniteAutomaton:
-    """Words with no identity letter and no adjacent defined product, the
-    empty word included.  State 0 starts; state 1+x means the last letter was x."""
-    trans: dict = {}
-    for x in p.nonidentity():
-        trans[(0, x)] = (1 + x,)
-    for x in p.elements():
-        for y in p.elements():
-            if p.table[x][y] == UNDEF:
-                trans[(1 + x, y)] = (1 + y,)
-    return FiniteAutomaton(
-        1 + p.size,
-        p.elements(),
-        trans,
-        [0],
-        [0] + [1 + x for x in p.elements()],
-    )
-
-
 def pair_alphabet(p: Pree) -> list[tuple[int, int]]:
     letters = p.elements()
     out = [(x, y) for x in letters for y in letters]
@@ -369,12 +325,23 @@ def strip_reduction_pair_recognizer(p: Pree) -> FiniteAutomaton:
 
 
 def geodesic_acceptor(p: Pree) -> FiniteAutomaton:
-    """Irreducible words with no strip reduction, except the word "1"."""
-    pair = strip_reduction_pair_recognizer(p)
-    has_strip = pair.map_symbols(lambda s: s[0] if s[0] != PAD else None)
-    no_strip = has_strip.determinize().complement()
-    irr = _irreducible(p)
-    return irr.intersect(no_strip).minimize()
+    """Irreducible words with no strip reduction, except the word "1".  The
+    states, all accepting, are None for the empty word and the (last letter,
+    mask) pairs of ``words.geodesic_step``."""
+
+    def moves(state):
+        if state is None:
+            for y in p.nonidentity():
+                yield y, (y, 0)
+            return
+        x, mask = state
+        for y in p.elements():
+            nxt = geodesic_step(p, x, mask, y)
+            if nxt is not None:
+                yield y, (y, nxt)
+
+    order, trans = _explore(None, moves)
+    return FiniteAutomaton(len(order), p.elements(), trans, [0], range(len(order))).minimize()
 
 
 @dataclass
@@ -466,29 +433,20 @@ def word_difference_machine(
     report = fellow_traveler_check(p, language, R, K)
     if not report.ok:
         return report
-    # the check's ball, cached on the table; any radius above K builds the same machine
-    ball = cayley_ball(p, max(R + 1, K + 2))
+    ball = fellow_ball(p, R, K)
     dist, step, left, inv = ball.dist, ball.step, ball.left, p.inv
 
     D = language.determinize()
     q0 = next(iter(D.initial))
     start = (q0, q0, 0, False, False)
-    index = {start: 0}
-    order = [start]
-    depth = [0]
-    trans: dict = {}
-    accepting = []
+    # breadth-first, so the first depth set for a state is its least
+    depth = {start: 0}
     letters = list(D.alphabet)
-    qi = 0
-    while qi < len(order):
-        qu, qv, d, pu, pv = order[qi]
-        u_done = pu or qu in D.accepting
-        v_done = pv or qv in D.accepting
-        if u_done and v_done and dist[d] <= 1:
-            accepting.append(qi)
-        if depth[qi] >= R:
-            qi += 1
-            continue
+
+    def moves(state):
+        qu, qv, d, pu, pv = state
+        if depth[state] >= R:
+            return
         xs = [PAD] if pu else [x for x in letters if D.targets(qu, x)]
         if not pu and qu in D.accepting:
             xs.append(PAD)
@@ -513,10 +471,12 @@ def word_difference_machine(
                 nqu = qu if x == PAD else D.targets(qu, x)[0]
                 nqv = qv if y == PAD else D.targets(qv, y)[0]
                 key = (nqu, nqv, nd, pu or x == PAD, pv or y == PAD)
-                if key not in index:
-                    index[key] = len(order)
-                    order.append(key)
-                    depth.append(depth[qi] + 1)
-                trans[(qi, (x, y))] = (index[key],)
-        qi += 1
+                depth.setdefault(key, depth[state] + 1)
+                yield (x, y), key
+
+    order, trans = _explore(start, moves)
+    accepting = [
+        i for i, (qu, qv, d, pu, pv) in enumerate(order)
+        if (pu or qu in D.accepting) and (pv or qv in D.accepting) and dist[d] <= 1
+    ]
     return FiniteAutomaton(len(order), pair_alphabet(p), trans, [0], accepting)

@@ -496,15 +496,22 @@ def neighbor_pairs(p: Pree, ball: CayleyBall, words: list[Word]) -> Iterator[tup
                         yield u, v
 
 
+def fellow_ball(p: Pree, R: int, K: int) -> CayleyBall:
+    """The fellow-traveler ball: radius R + 1 keeps endpoints interior, and
+    the arena reaches K + 2 or 2R + 1, past every difference of two words
+    of length <= R."""
+    return cayley_ball(p, max(R + 1, min(K + 2, 2 * R + 1)))
+
+
 def fellow_traveler_check(p: Pree, language, R: int, K: int) -> FellowTravelerReport:
     """Compare all same-start pairs of accepted words of length <= R.
 
     Pairs qualify when their endpoints coincide or differ by one
     generator.  The shorter word idles at its endpoint once exhausted.
-    One ball serves both roles: its radius keeps every endpoint interior
-    (so neighbor lookups are total) and covers the difference arena.
+    One ball, ``fellow_ball(p, R, K)``, serves both roles, and its
+    radius never exceeds 2R + 1, however large K is.
     """
-    ball = cayley_ball(p, max(R + 1, K + 2))
+    ball = fellow_ball(p, R, K)
     words = [tuple(w) for w in language.enumerate_words(R)]
     max_sep = 0
     worst = ((), ())

@@ -113,7 +113,7 @@ def strip_masks(p: Pree) -> tuple[list[int], list[list[int]], list[list[int]]]:
     ``close[a][b]`` holds the diagonals d whose ``step[a][d]`` holds b,
     so that a strip on d closes on the top letters a b.  These three
     tables are the only encoding of the relation; the strip search, its
-    witness and the pair recognizer all read them.
+    witness, the geodesic step and the pair recognizer all read them.
     """
 
     def build():
@@ -255,10 +255,31 @@ def strongly_reduce(p: Pree, w: Word) -> tuple[Word, ReductionTrace]:
         stack, w = stack[: wit.start], wit.output + stack[wit.start + wit.top_length :]
 
 
+def geodesic_step(p: Pree, x: int, mask: int, y: int) -> Optional[int]:
+    """The mask after ``y`` follows ``x``, or None when ``x y`` contracts or
+    closes a strip.  ``mask`` holds the diagonals of the strips from all
+    earlier starts whose next top letter is ``x``; the next one holds the
+    strips crossing ``x`` and those opening on it.  The union tells whether
+    a strip exists, not which is leftmost (``find_strip``)."""
+    right, step, close = strip_masks(p)
+    if p.table[x][y] != UNDEF or mask & close[x][y]:
+        return None
+    row, nxt = step[x], right[x]
+    while mask:
+        low = mask & -mask
+        nxt |= row[low.bit_length() - 1]
+        mask ^= low
+    return nxt
+
+
 def is_geodesic_word(p: Pree, w: Word) -> bool:
-    """Irreducible, strip-free, and not the one-letter identity word."""
+    """Irreducible, strip-free, and not the one-letter identity word: one
+    left-to-right pass of ``geodesic_step``."""
     if len(w) == 0 or w == (p.identity,):
         return False
-    if any(p.table[a][b] != UNDEF for a, b in zip(w, w[1:])):
-        return False
-    return find_strip(p, w) is None
+    mask = 0
+    for x, y in zip(w, w[1:]):
+        mask = geodesic_step(p, x, mask, y)
+        if mask is None:
+            return False
+    return True

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from preekit.pree import Pree, load_pree
+from preekit.fsa import PAD, FiniteAutomaton
+from preekit.pree import UNDEF, Pree, load_pree
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -139,6 +140,33 @@ def dihedral_subtable(n, seed, keep=0.1):
         for a in els for b in els if rng.random() < keep
     ]
     return load_pree("\n".join(lines) + "\n")
+
+
+def free_product_pree(p):
+    """Two copies of ``p``, a and b, sharing only the identity; no product
+    joins letters of two copies.  On zxz this is FP2."""
+    factors = "ab"
+    e, letters = p.identity, p.nonidentity()
+    name = lambda f, a: f + p.name(a)
+    lines = ["elements: " + " ".join([p.name(e)] + [name(f, a) for f in factors for a in letters])]
+    lines += ["identity: " + p.name(e)]
+    lines += ["inverse: %s %s" % (name(f, a), name(f, p.inv[a])) for f in factors for a in letters if a <= p.inv[a]]
+    lines += [
+        "product: %s %s %s" % (name(f, a), name(f, b), name(f, c))
+        for f in factors for a in letters for b in letters
+        if (c := p.table[a][b]) not in (UNDEF, e)
+    ]
+    return load_pree("\n".join(lines) + "\n")
+
+
+def top_projection(m):
+    """The words on the top tape of a pair machine, the padding dropped."""
+    trans: dict = {}
+    for (s, (x, _)), ts in m.transitions.items():
+        if x != PAD:
+            trans.setdefault((s, x), set()).update(ts)
+    alphabet = list(dict.fromkeys(x for x, _ in m.alphabet if x != PAD))
+    return FiniteAutomaton(m.n_states, alphabet, trans, m.initial, m.accepting)
 
 
 def solver_tables():

@@ -40,6 +40,9 @@ GOLDEN_CASES = [
         ["fellow", fixture_path("zxz"), "-r", "3", "-k", "0", "--format", "records"],
         1,
     ),
+    ("zxz_fellow_r2_k12", ["fellow", fixture_path("zxz"), "-r", "2", "-k", "12"], 0),
+    ("zxz_export_geodesic", ["export-fsa", fixture_path("zxz"), "--which", "geodesic"], 0),
+    ("zxz_export_combing", ["export-fsa", fixture_path("zxz"), "--which", "combing"], 0),
 ]
 
 

@@ -8,7 +8,7 @@ supposed to match.
 import itertools
 import random
 
-from conftest import all_words, load_fixture, solver_tables
+from conftest import all_words, load_fixture, solver_tables, top_projection
 from preekit import group
 from preekit.fsa import (
     PAD,
@@ -26,7 +26,8 @@ from preekit.group import (
     FellowTravelerReport, cayley_ball, equals_identity, neighbor_pairs, verify_short_identities,
 )
 from preekit.pree import UNDEF
-from preekit.words import find_strip, is_geodesic_word, parse_word
+from preekit.words import find_strip, is_geodesic_word, parse_word, strongly_reduce
+from test_strip_masks import _words
 
 
 def _sim(m, w):
@@ -137,14 +138,20 @@ def test_fsa_text_and_dot_are_stable():
     assert 'q0 -> q1 [label="a"];' in dot
 
 
-def test_geodesic_acceptor_matches_word_predicate(zxz):
-    acc = geodesic_acceptor(zxz)
-    # the empty word is the geodesic spelling of the identity, even
-    # though the word predicate refuses degenerate inputs
-    assert acc.accepts(())
-    for n in range(1, 5):
-        for w in itertools.product(zxz.elements(), repeat=n):
-            assert acc.accepts(w) == is_geodesic_word(zxz, w), w
+def test_geodesic_acceptor_matches_word_predicate():
+    tables = solver_tables() + [(name, load_fixture(name)) for name in ("cycle4", "cycle5")]
+    for name, p in tables:
+        acc = geodesic_acceptor(p)
+        # the empty word is the geodesic spelling of the identity, even
+        # though the word predicate refuses degenerate inputs
+        assert acc.accepts(()), name
+        # every word of up to four letters, or three on the larger tables
+        top = 4 if p.size ** 4 <= 10_000 else 3
+        short = [w for n in range(1, top + 1) for w in itertools.product(p.elements(), repeat=n)]
+        long = _words(p, 6, 30, 256)
+        long += [strongly_reduce(p, w)[0] for w in long]
+        for w in short + long:
+            assert acc.accepts(w) == is_geodesic_word(p, w), (name, w)
 
 
 def test_geodesic_acceptor_on_full_table_is_tiny(s3):
@@ -171,7 +178,7 @@ def test_strip_pair_recognizer_accepts_the_witnessed_pair(zxz):
 
 def test_strip_pair_projection_matches_find_strip(zxz):
     rec = strip_reduction_pair_recognizer(zxz)
-    proj = rec.map_symbols(lambda s: s[0] if s[0] != PAD else None).determinize()
+    proj = top_projection(rec).determinize()
     for n in (3, 4):
         for w in all_words(zxz, n):
             assert proj.accepts(w) == (find_strip(zxz, w) is not None), w

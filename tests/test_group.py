@@ -5,6 +5,7 @@ checked against plane vectors, the free table against stack
 cancellation, and the full tables against direct folding.
 """
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -25,7 +26,7 @@ from conftest import (
     zxz_vector,
 )
 from preekit import cli, group, pree
-from preekit.fsa import combing_acceptor
+from preekit.fsa import FiniteAutomaton, combing_acceptor, word_difference_machine
 from preekit.group import (
     abelian_obstruction,
     axioms_hold,
@@ -577,6 +578,19 @@ def test_fellow_traveler_full_table(s3):
     rep = fellow_traveler_check(s3, combing_acceptor(s3), 2, 5)
     assert rep.ok
     assert rep.max_separation <= 1
+
+
+def test_fellow_ball_is_bounded_by_the_word_length():
+    """Same-time prefixes of words of length <= 2 differ by at most 4, so
+    target 30 needs no ball past radius 5 and reads as target 3 does; the
+    word-difference machine reuses the check's ball."""
+    p = load_fixture("taxicab")
+    lang = combing_acceptor(p)
+    far = fellow_traveler_check(p, lang, 2, 30)
+    assert far == dataclasses.replace(fellow_traveler_check(p, lang, 2, 3), target=30)
+    assert isinstance(word_difference_machine(p, lang, 30, 2), FiniteAutomaton)
+    radii = [key[1] for key in p._derived if key[0] == "cayley_ball"]
+    assert max(radii) == 5
 
 
 def test_neighbor_pairs_match_brute_force(zxz):

@@ -1,12 +1,18 @@
-"""The strip relation and the reducer against the code they replaced.
+"""The strip relation, the reducer and the geodesic language against
+the code they replaced.
 
-``words.strip_masks`` is the one encoding of the strip relation.  The
+``words.strip_masks`` is the one encoding of the strip relation, and
+``words.geodesic_step`` its one reader for whether a strip exists.  The
 references below are the strip search, its dynamic program and the pair
-recognizer as they were written before it, each scanning the table on
-its own, and the reducer as it was written before it folded its words
-through ``contract_push``, rescanning from the left after every step;
-they are kept unchanged as differential oracles for the witnesses, the
-reduction traces, the geodesic test and the automata built on the masks.
+recognizer as they were written before the masks, each scanning the
+table on its own; the reducer as it was written before it folded its
+words through ``contract_push``, rescanning from the left after every
+step; and the geodesic test and acceptor as they were written before
+``geodesic_step``: a strip search per word, and the pair recognizer's
+top-tape projection, determinized, complemented and intersected with
+the irreducible words.  They are kept unchanged as differential oracles
+for the witnesses, the reduction traces, the geodesic test and the
+automata built on the masks.
 """
 
 import random
@@ -14,8 +20,8 @@ from typing import Optional
 
 import pytest
 
-from conftest import load_fixture, solver_tables
-from preekit import fsa, words
+from conftest import free_product_pree, load_fixture, solver_tables, top_projection
+from preekit import words
 from preekit.fsa import PAD, FiniteAutomaton, geodesic_acceptor, pair_alphabet, strip_reduction_pair_recognizer
 from preekit.pree import UNDEF, Pree, PreeError
 from preekit.words import (
@@ -230,6 +236,43 @@ def reference_pair_recognizer(p: Pree) -> FiniteAutomaton:
     return FiniteAutomaton(2 + 2 * size, pair_alphabet(p), trans, [copy], [accept])
 
 
+def reference_is_geodesic_word(p: Pree, w: Word) -> bool:
+    """Irreducible, strip-free, and not the one-letter identity word."""
+    if len(w) == 0 or w == (p.identity,):
+        return False
+    if any(p.table[a][b] != UNDEF for a, b in zip(w, w[1:])):
+        return False
+    return reference_find_strip(p, w) is None
+
+
+def reference_irreducible(p: Pree) -> FiniteAutomaton:
+    """Words with no identity letter and no adjacent defined product, the
+    empty word included.  State 0 starts; state 1+x means the last letter was x."""
+    trans: dict = {}
+    for x in p.nonidentity():
+        trans[(0, x)] = (1 + x,)
+    for x in p.elements():
+        for y in p.elements():
+            if p.table[x][y] == UNDEF:
+                trans[(1 + x, y)] = (1 + y,)
+    return FiniteAutomaton(
+        1 + p.size,
+        p.elements(),
+        trans,
+        [0],
+        [0] + [1 + x for x in p.elements()],
+    )
+
+
+def reference_geodesic_acceptor(p: Pree) -> FiniteAutomaton:
+    """Irreducible words with no strip reduction, except the word "1"."""
+    pair = reference_pair_recognizer(p)
+    has_strip = top_projection(pair)
+    no_strip = has_strip.determinize().complement()
+    irr = reference_irreducible(p)
+    return irr.intersect(no_strip).minimize()
+
+
 _TABLES = solver_tables() + [(name, load_fixture(name)) for name in ("cycle4", "cycle5")]
 TABLES = pytest.mark.parametrize("name,p", _TABLES, ids=[name for name, _ in _TABLES])
 
@@ -265,11 +308,18 @@ def test_strip_witnesses_match_the_reference(name, p):
 
 @TABLES
 def test_traces_and_geodesic_verdicts_match_the_reference(name, p, monkeypatch):
+    """Geodesic verdicts on words up to 256 letters and on their reduced
+    forms, which are strip-free; traces with the reference strip search
+    in place of ``find_strip``."""
     ws = _words(p, 2, 60, 30)
     ws += [strongly_reduce(p, w)[0] for w in ws]
-    got = [(strongly_reduce(p, w), is_geodesic_word(p, w)) for w in ws]
+    long = _words(p, 5, 10, 256)
+    long += [strongly_reduce(p, w)[0] for w in long]
+    for w in ws + long:
+        assert is_geodesic_word(p, w) == reference_is_geodesic_word(p, w), (name, w)
+    got = [strongly_reduce(p, w) for w in ws]
     monkeypatch.setattr(words, "find_strip", reference_find_strip)
-    assert got == [(strongly_reduce(p, w), is_geodesic_word(p, w)) for w in ws], name
+    assert got == [strongly_reduce(p, w) for w in ws], name
 
 
 @TABLES
@@ -285,12 +335,13 @@ def _machine(m):
     return m.n_states, m.alphabet, m.transitions, m.initial, m.accepting
 
 
-@TABLES
-def test_pair_recognizer_and_geodesic_acceptor_match_the_reference(name, p, monkeypatch):
+_ACCEPTOR_TABLES = _TABLES + [("FP2", free_product_pree(load_fixture("zxz")))]
+
+
+@pytest.mark.parametrize("name,p", _ACCEPTOR_TABLES, ids=[name for name, _ in _ACCEPTOR_TABLES])
+def test_pair_recognizer_and_geodesic_acceptor_match_the_reference(name, p):
     assert _machine(strip_reduction_pair_recognizer(p)) == _machine(reference_pair_recognizer(p))
-    geo = geodesic_acceptor(p)
-    monkeypatch.setattr(fsa, "strip_reduction_pair_recognizer", reference_pair_recognizer)
-    assert _machine(geo) == _machine(geodesic_acceptor(p))
+    assert _machine(geodesic_acceptor(p)) == _machine(reference_geodesic_acceptor(p))
 
 
 def test_masks_are_built_once_per_table(zxz):
