@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .pree import UNDEF, Pree
-from .words import contract_push, geodesic_step, strip_masks
-# cayley_ball and equals_identity are not called here; they stay importable as fsa attributes
+from .words import geodesic_step, strip_masks
+# equals_identity is not called here; it stays importable as an fsa attribute
 from .group import (  # noqa: F401
     FellowTravelerReport, cayley_ball, equals_identity, fellow_ball, fellow_traveler_check,
-    require_solver, stack_is_identity,
 )
 
 PAD = -2
@@ -360,29 +359,26 @@ class CombingTable:
 def build_combing_table(p: Pree) -> CombingTable:
     """Tabulate the banned triples.
 
-    For sprime, each a b c with bc undefined is folded once, extended by
-    inv(y) and then inv(x), and judged by ``stack_is_identity``, whose
-    memo of folds up to four letters ``verify_short_identities`` fills.
-    A triple (x, y, z) is banned when some c in sprime(x, y) has a defined
-    product c*z.  Refuses unless the word solver may run on ``p``.
+    abc equals xy in the group exactly when both name one element of the
+    radius-3 ball, so each a b c with bc undefined files c under its
+    element, and sprime(x, y) is what is filed under the element of x y:
+    O(|P|^3) lookups, and no solver call once the ball is built.  A triple
+    (x, y, z) is banned when some c in sprime(x, y) has a defined product
+    c*z.  Refuses unless the word solver may run on ``p``.
     """
-    require_solver(p)
+    step = cayley_ball(p, 3).step
     letters = p.nonidentity()
-    table, inv = p.table, p.inv
-    hits: dict[tuple[int, int], set] = {(x, y): set() for x in letters for y in letters}
+    table = p.table
+    filed: dict[int, set] = {}
     for a in letters:
         for b in letters:
-            ab = contract_push(table, (a,), b)
+            ab = step[step[0][a]][b]
             for c in letters:
-                if table[b][c] != UNDEF:
-                    continue
-                abc = contract_push(table, ab, c)
-                for y in letters:
-                    abcy = contract_push(table, abc, inv[y])
-                    for x in letters:
-                        if stack_is_identity(p, contract_push(table, abcy, inv[x])):
-                            hits[(x, y)].add(c)
-    sprime = {xy: frozenset(cs) for xy, cs in hits.items()}
+                if table[b][c] == UNDEF:
+                    filed.setdefault(step[ab][c], set()).add(c)
+    sprime = {
+        (x, y): frozenset(filed.get(step[step[0][x]][y], ())) for x in letters for y in letters
+    }
     forbidden = frozenset(
         (x, y, z) for (x, y), cs in sprime.items() for z in letters
         if any(table[c][z] != UNDEF for c in cs)

@@ -11,6 +11,7 @@ fellow-traveler bound.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -186,20 +187,6 @@ def equals_identity(p: Pree, w: Word) -> bool:
     return reduced == (p.identity,)
 
 
-def stack_is_identity(p: Pree, stack: Word) -> bool:
-    """equals_identity on a folded stack.  It is the verdict on every word
-    with that fold: strongly_reduce folds through ``contract_push`` before
-    it strips.  Verdicts on stacks of at most four letters are memoised
-    per table; a five-letter stack is an irreducible word, met once per
-    sweep, and a sparse table has about (|P|-1)^5 of them."""
-    if len(stack) > 4:
-        return equals_identity(p, stack)
-    memo = p.derived("stack_verdicts", dict)
-    if stack not in memo:
-        memo[stack] = equals_identity(p, stack)
-    return memo[stack]
-
-
 @dataclass
 class CayleyBall:
     """Ball of a given radius with representatives and step tables.
@@ -229,6 +216,15 @@ class CayleyBall:
                 return None
         return e
 
+    def is_identity(self, w: Word) -> bool:
+        """Whether ``w``, of at most 2 * radius letters, is the identity:
+        its first ceil(n/2) letters and the inverse of the rest name one
+        element, and both halves stay inside the ball."""
+        if len(w) > 2 * self.radius:
+            raise PreeError("a word of %d letters is longer than twice the radius" % len(w))
+        h = (len(w) + 1) // 2
+        return self.element_of_word(w[:h]) == self.element_of_word(inverse_word(self.pree, w[h:]))
+
     def render_rows(self) -> list[str]:
         out = []
         for e in range(self.size):
@@ -241,18 +237,40 @@ def cayley_ball(p: Pree, radius: int, method: str = "dehn") -> CayleyBall:
     """Breadth-first ball over the nonidentity letters.
 
     Element identity is decided by equals_identity ("dehn") or by the
-    neighbor-search oracle ("oracle"); candidates are bucketed by their
-    abelianized image first so the expensive check runs only within a
-    bucket.  Balls are cached per table instance; one with more than
-    ``BALL_ELEMENT_CAP`` elements raises PreeError.
+    neighbor-search oracle ("oracle", length bound 2 * radius + 6);
+    candidates are bucketed by their abelianized image first so the
+    expensive check runs only within a bucket.  Each table keeps one
+    breadth-first build per method, grown only past the radius already
+    reached, so every element is identified once per table; the ball of
+    radius r is a snapshot of its first r layers, equal to a fresh build,
+    and is cached too.  A ball with more than ``BALL_ELEMENT_CAP`` elements
+    raises PreeError, and a growth that raises drops the build.
     """
     if radius < 0:
         raise PreeError("radius must be nonnegative")
-    key = ("cayley_ball", radius, method)
-    return p.derived(key, lambda: _build_ball(p, radius, method))
+    return p.derived(("cayley_ball", radius, method), lambda: _snapshot(p, _grown(p, radius, method), radius))
 
 
-def _build_ball(p: Pree, radius: int, method: str) -> CayleyBall:
+class _Build:
+    """A table's breadth-first build: elements in layer order, the step rows
+    of the layers below ``radius``, the frontier, and the identify lookups."""
+
+    def __init__(self, p: Pree):
+        self.reps: list[Word] = [()]
+        self.dist: list[int] = [0]
+        self.rows: list[list[int]] = []
+        self.frontier = [0]
+        self.radius = 0
+        self.buckets: dict[tuple[int, ...], list[int]] = {abelian_obstruction(p).residue(()): [0]}
+        # strongly reduced forms give a sound fast path: one reduced word
+        # never names two elements, though one element may have several
+        self.by_reduced: dict[Word, int] = {(): 0, (p.identity,): 0}
+
+
+def _grown(p: Pree, radius: int, method: str) -> _Build:
+    """The table's build for ``method``, grown to at least ``radius``.  It is
+    taken out of the table while it grows, so a growth that raises leaves
+    none behind, and the next call starts afresh."""
     if method == "dehn":
         require_solver(p)
 
@@ -271,14 +289,11 @@ def _build_ball(p: Pree, radius: int, method: str) -> CayleyBall:
     else:
         raise PreeError("unknown ball method %r" % method)
 
+    builds = p.derived("ball_builds", dict)
+    b = builds.pop(method, None) or _Build(p)
     obs = abelian_obstruction(p)
     gens = p.nonidentity()
-    reps: list[Word] = [()]
-    dist: list[int] = [0]
-    buckets: dict[tuple[int, ...], list[int]] = {obs.residue(()): [0]}
-    # strongly reduced forms give a sound fast path: one reduced word
-    # never names two elements, though one element may have several
-    by_reduced: dict[Word, int] = {(): 0, (p.identity,): 0}
+    reps, dist, buckets, by_reduced = b.reps, b.dist, b.buckets, b.by_reduced
 
     def identify(w: Word) -> tuple[Optional[int], Word]:
         rw, _ = strongly_reduce(p, w)
@@ -291,12 +306,10 @@ def _build_ball(p: Pree, radius: int, method: str) -> CayleyBall:
                 return e, rw
         return None, rw
 
-    step_rows: dict[int, list[int]] = {}
-    frontier = [0]
-    for layer in range(1, radius + 1):
+    for layer in range(b.radius + 1, radius + 1):
         new: list[int] = []
-        for e in frontier:
-            row = step_rows.setdefault(e, [-1] * p.size)
+        for e in b.frontier:
+            row = [-1] * p.size
             for g in gens:
                 w = reps[e] + (g,)
                 t, rw = identify(w)
@@ -310,16 +323,25 @@ def _build_ball(p: Pree, radius: int, method: str) -> CayleyBall:
                     if len(reps) > BALL_ELEMENT_CAP:
                         raise PreeError("ball exceeds element cap")
                 row[g] = t
-        frontier = new
+            b.rows.append(row)
+        b.frontier = new
+        b.radius = layer
+    builds[method] = b
+    return b
 
-    n = len(reps)
+
+def _snapshot(p: Pree, b: _Build, radius: int) -> CayleyBall:
+    """The ball of ``radius`` read off a build grown at least that far."""
+    n = bisect.bisect_right(b.dist, radius)
+    gens = p.nonidentity()
+    step_rows = [b.rows[e][:] if b.dist[e] < radius else [-1] * p.size for e in range(n)]
     for e in range(n):
-        step_rows.setdefault(e, [-1] * p.size)[p.identity] = e
+        step_rows[e][p.identity] = e
     # Boundary rows are filled from the interior side: e2*g = f exactly
     # when f*inv(g) = e2, and interior rows are total.  Entries whose
     # source and target both sit on the boundary stay -1.
     for f in range(n):
-        if dist[f] == radius and radius > 0:
+        if b.dist[f] == radius:
             continue
         frow = step_rows[f]
         for g in gens:
@@ -328,13 +350,13 @@ def _build_ball(p: Pree, radius: int, method: str) -> CayleyBall:
                 row2 = step_rows[e2]
                 if row2[g] == -1:
                     row2[g] = f
-    step = tuple(tuple(step_rows[e]) for e in range(n))
+    step = tuple(tuple(row) for row in step_rows)
 
     # left[e][x] propagates along the BFS tree: with e = parent * h,
     # x * e = (x * parent) * h; at the root, x * 1 = 1 * x.
     left_rows = [list(step[0])] + [[-1] * p.size for _ in range(n - 1)]
     for e in range(1, n):
-        parent_word, h = reps[e][:-1], reps[e][-1]
+        parent_word, h = b.reps[e][:-1], b.reps[e][-1]
         pe = 0
         for y in parent_word:
             pe = step[pe][y]
@@ -343,24 +365,24 @@ def _build_ball(p: Pree, radius: int, method: str) -> CayleyBall:
             left_rows[e][x] = -1 if xp == -1 else step[xp][h]
     left = tuple(tuple(r) for r in left_rows)
 
-    return CayleyBall(
-        pree=p, radius=radius, reps=tuple(reps), dist=tuple(dist), step=step, left=left
-    )
+    reps, dist = tuple(b.reps[:n]), tuple(b.dist[:n])
+    return CayleyBall(pree=p, radius=radius, reps=reps, dist=dist, step=step, left=left)
 
 
 def verify_embedding(p: Pree) -> VerificationReport:
-    """Letters stay distinct, products hold, undefined pairs stay apart."""
+    """Letters stay distinct, products hold, undefined pairs stay apart, on the radius-3 ball."""
     r = VerificationReport("embedding")
     if p.solver_problem is not None:
         r.note("precondition unmet: %s, nothing asserted" % p.solver_problem)
         return r
+    is_identity = cayley_ball(p, 3).is_identity
     letters = list(p.elements())
     for a in letters:
         for b in letters:
-            if a < b and equals_identity(p, (a, p.inv[b])):
+            if a < b and is_identity((a, p.inv[b])):
                 r.problem("letters %s and %s collapse" % (p.name(a), p.name(b)))
     for a, b, c in p.defined_pairs():
-        if not equals_identity(p, (a, b, p.inv[c])):
+        if not is_identity((a, b, p.inv[c])):
             r.problem("product relation fails: %s %s %s" % (p.name(a), p.name(b), p.name(c)))
     undefined = 0
     for a in letters:
@@ -369,7 +391,7 @@ def verify_embedding(p: Pree) -> VerificationReport:
                 continue
             undefined += 1
             for c in letters:
-                if equals_identity(p, (a, b, p.inv[c])):
+                if is_identity((a, b, p.inv[c])):
                     r.problem(
                         "undefined pair %s %s collapses to letter %s"
                         % (p.name(a), p.name(b), p.name(c))
@@ -381,13 +403,14 @@ def verify_embedding(p: Pree) -> VerificationReport:
 def verify_short_identities(p: Pree) -> VerificationReport:
     """Length 4 and 5 words that represent 1 must be reducible.
 
-    Identity is decided by the word solver, so nothing is asserted unless
-    ``Pree.solver_problem`` is None; the solver also strips, so the adjacency
-    assertion stays independent of it.  Words of four letters are counted
-    per leftmost-contraction fold; each fold is then extended by every
-    letter, so a five-letter word gets the verdict on its fold without
-    the folds of five letters being stored.  A word is irreducible
-    exactly when its fold keeps all of its letters.
+    Identity is read off the radius-3 ball that the word solver built
+    (``CayleyBall.is_identity``), so nothing is asserted unless
+    ``Pree.solver_problem`` is None; the solver also strips, so the
+    adjacency assertion stays independent of it.  Words of four letters are
+    counted per leftmost-contraction fold, the same element; each fold is
+    then extended by every letter, so a five-letter word gets the verdict
+    on its fold.  A word is irreducible exactly when its fold keeps all of
+    its letters.
     """
     r = VerificationReport("short-identity-reducibility")
     if p.solver_problem is not None:
@@ -401,12 +424,13 @@ def verify_short_identities(p: Pree) -> VerificationReport:
                 t = contract_push(p.table, stack, x)
                 folded[t] = folded.get(t, 0) + k
         counts = folded
+    is_identity = cayley_ball(p, 3).is_identity
     hits = 0
     irreducible: list[Word] = []
     for s in sorted(counts):
         # s folds counts[s] four-letter words; pushing x folds as many of five
         for t, n in [(s, 4)] + [(contract_push(p.table, s, x), 5) for x in p.elements()]:
-            if stack_is_identity(p, t):
+            if is_identity(t):
                 hits += counts[s]
                 if len(t) == n:
                     irreducible.append(t)
@@ -452,19 +476,20 @@ def sync_separation(arena: CayleyBall, u: Word, v: Word) -> tuple[int, bool]:
     difference left the arena ball and the reported value is only a
     lower bound (arena radius + 1).
     """
-    p = arena.pree
+    left, step, dist, inv = arena.left, arena.step, arena.dist, arena.pree.inv
     d = 0
     worst = 0
     for i in range(max(len(u), len(v))):
         if i < len(u):
-            d = arena.left[d][p.inv[u[i]]]
+            d = left[d][inv[u[i]]]
             if d == -1:
                 return arena.radius + 1, True
         if i < len(v):
-            d = arena.step[d][v[i]]
+            d = step[d][v[i]]
             if d == -1:
                 return arena.radius + 1, True
-        worst = max(worst, arena.dist[d])
+        if dist[d] > worst:
+            worst = dist[d]
     return worst, False
 
 

@@ -10,6 +10,7 @@ import gc
 import itertools
 import random
 import weakref
+from typing import Optional
 
 import pytest
 
@@ -28,6 +29,8 @@ from conftest import (
 from preekit import cli, group, pree
 from preekit.fsa import FiniteAutomaton, combing_acceptor, word_difference_machine
 from preekit.group import (
+    BALL_ELEMENT_CAP,
+    CayleyBall,
     abelian_obstruction,
     axioms_hold,
     bfs_identity_oracle,
@@ -35,13 +38,14 @@ from preekit.group import (
     equals_identity,
     fellow_traveler_check,
     neighbor_pairs,
+    require_solver,
     sync_separation,
     verify_embedding,
     verify_short_identities,
     verify_surjectivity,
 )
-from preekit.pree import UNDEF, AxiomWitness, PreeError, VerificationReport, check_axiom
-from preekit.words import parse_word, render_word
+from preekit.pree import UNDEF, AxiomWitness, Pree, PreeError, VerificationReport, check_axiom
+from preekit.words import Word, inverse_word, parse_word, render_word, strongly_reduce
 
 
 def _free_reduce(p, w):
@@ -398,6 +402,178 @@ def test_ball_is_cached(zxz):
     assert cayley_ball(zxz, 2) is cayley_ball(zxz, 2)
 
 
+def _build_ball(p: Pree, radius: int, method: str) -> CayleyBall:
+    """One fresh breadth-first build of exactly ``radius`` layers: the
+    reference that each snapshot of a table's one build must equal."""
+    if method == "dehn":
+        require_solver(p)
+
+        def same(u: Word, v: Word) -> bool:
+            return equals_identity(p, u + inverse_word(p, v))
+
+    elif method == "oracle":
+        bound = 2 * radius + 6
+
+        def same(u: Word, v: Word) -> bool:
+            got = bfs_identity_oracle(p, u + inverse_word(p, v), length_bound=bound)
+            if got is None:
+                raise PreeError("oracle undecided while building ball")
+            return got
+
+    else:
+        raise PreeError("unknown ball method %r" % method)
+
+    obs = abelian_obstruction(p)
+    gens = p.nonidentity()
+    reps: list[Word] = [()]
+    dist: list[int] = [0]
+    buckets: dict[tuple[int, ...], list[int]] = {obs.residue(()): [0]}
+    # strongly reduced forms give a sound fast path: one reduced word
+    # never names two elements, though one element may have several
+    by_reduced: dict[Word, int] = {(): 0, (p.identity,): 0}
+
+    def identify(w: Word) -> tuple[Optional[int], Word]:
+        rw, _ = strongly_reduce(p, w)
+        hit = by_reduced.get(rw)
+        if hit is not None:
+            return hit, rw
+        for e in buckets.get(obs.residue(rw), ()):
+            if same(rw, reps[e]):
+                by_reduced[rw] = e
+                return e, rw
+        return None, rw
+
+    step_rows: dict[int, list[int]] = {}
+    frontier = [0]
+    for layer in range(1, radius + 1):
+        new: list[int] = []
+        for e in frontier:
+            row = step_rows.setdefault(e, [-1] * p.size)
+            for g in gens:
+                w = reps[e] + (g,)
+                t, rw = identify(w)
+                if t is None:
+                    t = len(reps)
+                    reps.append(w)
+                    dist.append(layer)
+                    buckets.setdefault(obs.residue(rw), []).append(t)
+                    by_reduced[rw] = t
+                    new.append(t)
+                    if len(reps) > BALL_ELEMENT_CAP:
+                        raise PreeError("ball exceeds element cap")
+                row[g] = t
+        frontier = new
+
+    n = len(reps)
+    for e in range(n):
+        step_rows.setdefault(e, [-1] * p.size)[p.identity] = e
+    # Boundary rows are filled from the interior side: e2*g = f exactly
+    # when f*inv(g) = e2, and interior rows are total.  Entries whose
+    # source and target both sit on the boundary stay -1.
+    for f in range(n):
+        if dist[f] == radius and radius > 0:
+            continue
+        frow = step_rows[f]
+        for g in gens:
+            e2 = frow[p.inv[g]]
+            if e2 != -1:
+                row2 = step_rows[e2]
+                if row2[g] == -1:
+                    row2[g] = f
+    step = tuple(tuple(step_rows[e]) for e in range(n))
+
+    # left[e][x] propagates along the BFS tree: with e = parent * h,
+    # x * e = (x * parent) * h; at the root, x * 1 = 1 * x.
+    left_rows = [list(step[0])] + [[-1] * p.size for _ in range(n - 1)]
+    for e in range(1, n):
+        parent_word, h = reps[e][:-1], reps[e][-1]
+        pe = 0
+        for y in parent_word:
+            pe = step[pe][y]
+        for x in p.elements():
+            xp = left_rows[pe][x]
+            left_rows[e][x] = -1 if xp == -1 else step[xp][h]
+    left = tuple(tuple(r) for r in left_rows)
+
+    return CayleyBall(
+        pree=p, radius=radius, reps=tuple(reps), dist=tuple(dist), step=step, left=left
+    )
+
+
+def _ball_tables():
+    """Tables with the radii their snapshots are checked at."""
+    tables = [(name, load_fixture(name), range(9)) for name in ("zxz", "s3", "z6", "q8")]
+    tables.append(("taxicab", load_fixture("taxicab"), range(6)))
+    tables += [("Z_%d" % n, cyclic_pree(n, seed=n), range(9)) for n in (7, 8, 9)]
+    return tables
+
+
+def test_every_snapshot_equals_a_fresh_build(monkeypatch):
+    """Whatever radii are asked, in whatever order, each ball equals a fresh
+    build of that radius, and the table's one build reduces each candidate
+    word once: as often as one fresh build of the largest radius does."""
+    reduce = group.strongly_reduce
+    reduced = []
+    monkeypatch.setattr(group, "strongly_reduce", lambda q, w: reduced.append(w) or reduce(q, w))
+    rng = random.Random(16)
+    for name, p, radii in _ball_tables():
+        want = {r: _build_ball(p, r, "dehn") for r in radii}
+        reduced.clear()
+        cayley_ball(dataclasses.replace(p), max(radii))
+        once = len(reduced)
+        orders = [list(reversed(radii))] + [rng.sample(radii, len(radii)) for _ in range(2)]
+        for order in orders:
+            q = dataclasses.replace(p)  # an equal table with an empty store
+            reduced.clear()
+            for r in order:
+                assert cayley_ball(q, r) == want[r], (name, order, r)
+            assert len(reduced) == once, (name, order)
+
+
+def test_oracle_snapshots_equal_fresh_builds_at_the_bound_of_the_radius_asked(monkeypatch):
+    """Layers grown for radius r search to length 2r + 6, as a fresh build of
+    radius r does; a snapshot of layers already grown runs no search."""
+    p = load_fixture("zxz")
+    search = group.bfs_identity_oracle
+    bounds = []
+    monkeypatch.setattr(
+        group, "bfs_identity_oracle",
+        lambda q, w, length_bound: bounds.append(length_bound) or search(q, w, length_bound=length_bound),
+    )
+    for r, grown in ((2, {10}), (0, set()), (1, set()), (3, {12})):
+        bounds.clear()
+        assert cayley_ball(p, r, method="oracle") == _build_ball(load_fixture("zxz"), r, "oracle"), r
+        assert set(bounds) == grown, r
+
+
+def test_a_growth_that_raises_leaves_no_half_grown_build(monkeypatch):
+    """After a raise in the middle of a layer, the next call builds afresh."""
+    p = load_fixture("zxz")
+    cayley_ball(p, 1)
+    # the zxz ball of radius 3 has 37 elements; 36 lets a part of layer 3 in
+    monkeypatch.setattr(group, "BALL_ELEMENT_CAP", 36)
+    with pytest.raises(PreeError, match="ball exceeds element cap"):
+        cayley_ball(p, 4)
+    monkeypatch.undo()
+    assert cayley_ball(p, 4) == _build_ball(load_fixture("zxz"), 4, "dehn")
+
+    p = load_fixture("zxz")
+    cayley_ball(p, 1, method="oracle")
+    search = group.bfs_identity_oracle
+    calls = []
+
+    def undecided_after_three(q, w, length_bound):
+        calls.append(w)
+        return None if len(calls) > 3 else search(q, w, length_bound=length_bound)
+
+    # radius 2 makes six searches, so the fourth one fails inside layer 2
+    monkeypatch.setattr(group, "bfs_identity_oracle", undecided_after_three)
+    with pytest.raises(PreeError, match="oracle undecided"):
+        cayley_ball(p, 3, method="oracle")
+    monkeypatch.undo()
+    assert cayley_ball(p, 3, method="oracle") == _build_ball(load_fixture("zxz"), 3, "oracle")
+
+
 def test_ball_past_the_element_cap_raises(monkeypatch):
     # the zxz ball of radius 3 has 37 elements
     monkeypatch.setattr(group, "BALL_ELEMENT_CAP", 36)
@@ -524,30 +700,29 @@ def test_short_identities_match_per_word_solver():
 def test_short_identities_list_irreducible_words_in_word_order(monkeypatch):
     """With every irreducible 4- and 5-letter word called the identity, the
     report lists the same words in the same order as the per-word loop."""
-    solver = group.equals_identity
-
-    def patched(p, w):
-        if len(w) in (4, 5) and all(p.table[a][b] == UNDEF for a, b in zip(w, w[1:])):
-            return True
-        return solver(p, w)
-
-    monkeypatch.setattr(group, "equals_identity", patched)
+    irreducible = lambda p, w: len(w) in (4, 5) and all(p.table[a][b] == UNDEF for a, b in zip(w, w[1:]))
+    solver, decide = group.equals_identity, group.CayleyBall.is_identity
     for name in ("zxz", "taxicab"):
-        # fresh tables: the patched verdicts go into the table's memo
-        got = verify_short_identities(load_fixture(name))
+        # the ball is built by the true solver before either decision is patched
+        p = load_fixture(name)
+        cayley_ball(p, 3)
+        monkeypatch.setattr(group.CayleyBall, "is_identity", lambda b, w: irreducible(b.pree, w) or decide(b, w))
+        monkeypatch.setattr(group, "equals_identity", lambda q, w: irreducible(q, w) or solver(q, w))
+        got = verify_short_identities(p)
         want = _reference_short_identities(load_fixture(name))
+        monkeypatch.undo()
         assert got.problems, name
         assert got.problems == want.problems, name
 
 
 def test_short_identity_sweep_keeps_no_five_letter_folds():
-    """A sparse table has about (|P|-1)^5 five-letter folds; the memo must
-    hold only folds of up to four letters."""
+    """A sparse table has about (|P|-1)^5 folds; the sweep stores a verdict
+    on none of them, only the radius-3 ball that it reads."""
     p = load_fixture("taxicab")
     verify_short_identities(p)
-    memo = p.derived("stack_verdicts", dict)
-    assert max(map(len, memo)) == 4
-    assert len(memo) <= sum((p.size - 1) ** n for n in range(1, 5))
+    for key, value in p._derived.items():
+        assert isinstance(key, str) or key == ("cayley_ball", 3, "dehn"), key
+        assert not (isinstance(value, dict) and any(isinstance(k, tuple) for k in value)), key
 
 
 def test_verify_short_identities_asserts_nothing_without_axioms(cycle4, cycle5):
