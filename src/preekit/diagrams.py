@@ -480,24 +480,12 @@ def diagram_stats(d: Diagram) -> DiagramStats:
     internal = tuple(sorted(deg[v] for v in range(d.n_vertices) if v not in on_b))
     n = len(bverts)
     anchors = [q for q in range(n) if deg[bverts[q]] in (2, 3)]
-    if not anchors:
-        galleries = 0
-    elif len(anchors) == 1:
-        others = [deg[bverts[q]] for q in range(n) if q != anchors[0]]
-        galleries = 1 if all(x == 4 for x in others) else 0
-    else:
-        galleries = 0
-        for ai in range(len(anchors)):
-            a, bq = anchors[ai], anchors[(ai + 1) % len(anchors)]
-            gap_ok = True
-            q = (a + 1) % n
-            while q != bq:
-                if deg[bverts[q]] != 4:
-                    gap_ok = False
-                    break
-                q = (q + 1) % n
-            if gap_ok:
-                galleries += 1
+    # a gallery is a run of degree-4 vertices from one anchor to the next; a
+    # lone anchor is its own successor, and its gap is the rest of the boundary
+    galleries = sum(
+        all(deg[bverts[(a + k) % n]] == 4 for k in range(1, (b - a - 1) % n + 1))
+        for a, b in zip(anchors, anchors[1:] + anchors[:1])
+    )
     return DiagramStats(
         area=d.area,
         boundary_length=n,

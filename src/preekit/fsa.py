@@ -4,9 +4,9 @@ The toolkit half is generic (NFA/DFA, determinize, minimize, boolean
 algebra, bounded enumeration); every machine it builds numbers its
 states with one breadth-first walk, ``_explore``.  The language half
 builds the recognizer for the pair relation "one strip reduction apart",
-the geodesic acceptor (read off ``words.geodesic_step``), the combing
-sublanguage, and the synchronous word-difference machine over padded
-pairs.
+the geodesic acceptor and the combing sublanguage (both walks over
+``words.geodesic_step``), and the synchronous word-difference machine
+over padded pairs.
 
 Symbols are plain hashable values: element ids for word languages,
 (x, y) tuples for pair languages.  PAD (-2) marks the end-padding on
@@ -187,18 +187,7 @@ class FiniteAutomaton:
         )
 
     def is_empty(self) -> bool:
-        seen = set(self.initial)
-        stack = list(self.initial)
-        while stack:
-            s = stack.pop()
-            if s in self.accepting:
-                return False
-            for sym in self.alphabet:
-                for t in self.targets(s, sym):
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-        return True
+        return not (self.initial & self._coaccessible())
 
     def _coaccessible(self) -> frozenset:
         rev: dict[int, set[int]] = {}
@@ -323,23 +312,25 @@ def strip_reduction_pair_recognizer(p: Pree) -> FiniteAutomaton:
     return FiniteAutomaton(2 + 2 * size, pair_alphabet(p), trans, [copy], [accept])
 
 
+def _geodesic_moves(p: Pree, state):
+    """One geodesic step: the (letter, next state) pairs after ``state``.
+    The states are None for the empty word and the (last letter, mask)
+    pairs of ``words.geodesic_step``."""
+    if state is None:
+        for y in p.nonidentity():
+            yield y, (y, 0)
+        return
+    x, mask = state
+    for y in p.elements():
+        nxt = geodesic_step(p, x, mask, y)
+        if nxt is not None:
+            yield y, (y, nxt)
+
+
 def geodesic_acceptor(p: Pree) -> FiniteAutomaton:
-    """Irreducible words with no strip reduction, except the word "1".  The
-    states, all accepting, are None for the empty word and the (last letter,
-    mask) pairs of ``words.geodesic_step``."""
-
-    def moves(state):
-        if state is None:
-            for y in p.nonidentity():
-                yield y, (y, 0)
-            return
-        x, mask = state
-        for y in p.elements():
-            nxt = geodesic_step(p, x, mask, y)
-            if nxt is not None:
-                yield y, (y, nxt)
-
-    order, trans = _explore(None, moves)
+    """Irreducible words with no strip reduction, except the word "1"; every
+    state of the walk accepts."""
+    order, trans = _explore(None, lambda state: _geodesic_moves(p, state))
     return FiniteAutomaton(len(order), p.elements(), trans, [0], range(len(order))).minimize()
 
 
@@ -390,28 +381,22 @@ def combing_acceptor(p: Pree) -> FiniteAutomaton:
     """Geodesics whose odd-position windows avoid the banned triples.
 
     Positions are 1-indexed; a window (w_j, w_j+1, w_j+2) is checked for
-    every odd j with j+2 <= n.  The window automaton runs in product
-    with the geodesic acceptor.
+    every odd j with j+2 <= n.  One walk carries the geodesic state and
+    the letters of the open window: a third letter closes the window,
+    unless the three are banned, and opens the next one.
     """
-    table = build_combing_table(p)
-    size = p.size
-    # state 0: even number of letters consumed, no pending window
-    # 1+x: one pending letter x (odd position); 1+size+(x*size+y): two pending
-    pend1 = lambda x: 1 + x
-    pend2 = lambda x, y: 1 + size + x * size + y
-    n_states = 1 + size + size * size
-    trans: dict = {}
-    for x in p.elements():
-        trans[(0, x)] = (pend1(x),)
-        for y in p.elements():
-            trans[(pend1(x), y)] = (pend2(x, y),)
-            for z in p.elements():
-                if (x, y, z) not in table.forbidden:
-                    trans[(pend2(x, y), z)] = (pend1(z),)
-    windows = FiniteAutomaton(
-        n_states, p.elements(), trans, [0], range(n_states)
-    )
-    return geodesic_acceptor(p).intersect(windows).minimize()
+    forbidden = build_combing_table(p).forbidden
+
+    def moves(state):
+        geo, window = state
+        for y, nxt in _geodesic_moves(p, geo):
+            if len(window) < 2:
+                yield y, (nxt, window + (y,))
+            elif window + (y,) not in forbidden:
+                yield y, (nxt, (y,))
+
+    order, trans = _explore((None, ()), moves)
+    return FiniteAutomaton(len(order), p.elements(), trans, [0], range(len(order))).minimize()
 
 
 def word_difference_machine(

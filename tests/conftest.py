@@ -159,6 +159,33 @@ def free_product_pree(p):
     return load_pree("\n".join(lines) + "\n")
 
 
+A2_FANO_TRIPLES = ((0, 0, 3), (0, 1, 4), (1, 1, 2), (2, 5, 6), (2, 6, 3), (3, 6, 5), (4, 4, 5))
+
+
+def a2_fano_pree():
+    """A triangle presentation over the Fano plane: letters a0..a6 and their
+    inverses A0..A6, with a_x a_y = A_z for each rotation (x, y, z) of each
+    triple.  Its group acts simply transitively on the vertices of an
+    Ã2 building of order 2 (Cartwright, Mantero, Steger and Zappa, 1993)."""
+    lines = ["elements: e " + " ".join("a%d A%d" % (x, x) for x in range(7)), "identity: e"]
+    lines += ["inverse: a%d A%d" % (x, x) for x in range(7)]
+    lines += [
+        "product: a%d a%d A%d" % t
+        for x, y, z in A2_FANO_TRIPLES for t in ((x, y, z), (y, z, x), (z, x, y))
+    ]
+    return load_pree("\n".join(lines) + "\n")
+
+
+def a2_sphere_size(r):
+    """Elements at word length ``r`` in the Ã2 group of order 2: the building
+    has 7·4^(m-1) vertices at N(m,0) and at N(0,m), and 42·4^(m+n-2) at
+    N(m,n) with m, n >= 1."""
+    if r == 0:
+        return 1
+    # N(r,0) and N(0,r), then the r-1 types N(m, r-m) with 0 < m < r
+    return 2 * 7 * 4 ** (r - 1) + (r - 1) * 42 * 4 ** max(r - 2, 0)
+
+
 def top_projection(m):
     """The words on the top tape of a pair machine, the padding dropped."""
     trans: dict = {}

@@ -43,6 +43,14 @@ GOLDEN_CASES = [
     ("zxz_fellow_r2_k12", ["fellow", fixture_path("zxz"), "-r", "2", "-k", "12"], 0),
     ("zxz_export_geodesic", ["export-fsa", fixture_path("zxz"), "--which", "geodesic"], 0),
     ("zxz_export_combing", ["export-fsa", fixture_path("zxz"), "--which", "combing"], 0),
+    (
+        "taxicab_comb_n3_records",
+        ["comb", fixture_path("taxicab"), "--enumerate", "3", "--format", "records"],
+        0,
+    ),
+    ("zxz_geodesic_yes", ["geodesic", fixture_path("zxz"), "(1,0) (1,1) (1,1)"], 0),
+    # no contraction, but the whole word is one strip
+    ("zxz_geodesic_no", ["geodesic", fixture_path("zxz"), "(0,1) (1,1) (1,0)"], 1),
 ]
 
 

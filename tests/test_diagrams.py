@@ -12,6 +12,7 @@ import pytest
 from conftest import zxz_vector
 from preekit.diagrams import (
     DiagramError,
+    DiagramStats,
     _fold,
     attach_triangle,
     curvature_check,
@@ -202,6 +203,62 @@ def test_reduce_internal_degree_four_vertex(zxz):
     assert d2.area == d.area - 2
     assert _canon(zxz, d2.boundary_word()) == before
     assert curvature_check(d2)[2]
+
+
+def _reference_diagram_stats(d):
+    """``diagram_stats`` with the no-anchor and one-anchor cases spelled out."""
+    deg = d.degrees()
+    bverts = d.boundary_vertices()
+    on_b = set(bverts)
+    d2 = sum(1 for v in on_b if deg[v] == 2)
+    d3 = sum(1 for v in on_b if deg[v] == 3)
+    d5 = sum(1 for v in on_b if deg[v] > 4)
+    internal = tuple(sorted(deg[v] for v in range(d.n_vertices) if v not in on_b))
+    n = len(bverts)
+    anchors = [q for q in range(n) if deg[bverts[q]] in (2, 3)]
+    if not anchors:
+        galleries = 0
+    elif len(anchors) == 1:
+        others = [deg[bverts[q]] for q in range(n) if q != anchors[0]]
+        galleries = 1 if all(x == 4 for x in others) else 0
+    else:
+        galleries = 0
+        for ai in range(len(anchors)):
+            a, bq = anchors[ai], anchors[(ai + 1) % len(anchors)]
+            gap_ok = True
+            q = (a + 1) % n
+            while q != bq:
+                if deg[bverts[q]] != 4:
+                    gap_ok = False
+                    break
+                q = (q + 1) % n
+            if gap_ok:
+                galleries += 1
+    return DiagramStats(
+        area=d.area,
+        boundary_length=n,
+        delta2=d2,
+        delta3=d3,
+        delta5=d5,
+        internal_degrees=internal,
+        galleries=galleries,
+    )
+
+
+def test_stats_match_the_reference_on_random_diagrams(zxz, s3, q8):
+    rng = random.Random(59)
+    seen = set()
+    for p in (zxz, s3, q8):
+        for _ in range(1500):
+            d = grow_random(p, rng, rng.randrange(1, 21))
+            stats = diagram_stats(d)
+            assert stats == _reference_diagram_stats(d)
+            deg = d.degrees()
+            anchors = sum(1 for v in d.boundary_vertices() if deg[v] in (2, 3))
+            seen.add((min(anchors, 2), stats.galleries))
+    # the sample reaches the cases the reference spells out: no anchor, and
+    # one anchor with and without a gallery
+    assert {(0, 0), (1, 0), (1, 1)} <= seen
 
 
 def test_stats_render_is_stable(zxz):

@@ -8,11 +8,14 @@ supposed to match.
 import itertools
 import random
 
-from conftest import all_words, load_fixture, solver_tables, top_projection
+from conftest import (
+    a2_fano_pree, all_words, free_product_pree, load_fixture, solver_tables, top_projection,
+)
 from preekit import group
 from preekit.fsa import (
     PAD,
     FiniteAutomaton,
+    _explore,
     build_combing_table,
     combing_acceptor,
     fsa_to_dot,
@@ -26,7 +29,7 @@ from preekit.group import (
     FellowTravelerReport, cayley_ball, equals_identity, neighbor_pairs, verify_short_identities,
 )
 from preekit.pree import UNDEF
-from preekit.words import find_strip, is_geodesic_word, parse_word, strongly_reduce
+from preekit.words import find_strip, geodesic_step, is_geodesic_word, parse_word, strongly_reduce
 from test_strip_masks import _words
 
 
@@ -123,6 +126,18 @@ def test_is_empty():
     assert not m2.is_empty()
 
 
+def test_is_empty_matches_bounded_enumeration_on_random_nfas():
+    # an accepted word, if any, has one no longer than the number of states
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(3000):
+        m = _random_nfa(rng)
+        empty = m.is_empty()
+        assert empty == (m.enumerate_words(m.n_states) == [])
+        verdicts.add(empty)
+    assert verdicts == {True, False}
+
+
 def test_render_symbol(zxz):
     assert render_symbol(zxz, PAD) == "$"
     assert render_symbol(zxz, zxz.id_of("(1,0)")) == "(1,0)"
@@ -182,6 +197,58 @@ def test_strip_pair_projection_matches_find_strip(zxz):
     for n in (3, 4):
         for w in all_words(zxz, n):
             assert proj.accepts(w) == (find_strip(zxz, w) is not None), w
+
+
+def _reference_geodesic_acceptor(p):
+    """The geodesic acceptor as a walk of its own (moves written inline)."""
+
+    def moves(state):
+        if state is None:
+            for y in p.nonidentity():
+                yield y, (y, 0)
+            return
+        x, mask = state
+        for y in p.elements():
+            nxt = geodesic_step(p, x, mask, y)
+            if nxt is not None:
+                yield y, (y, nxt)
+
+    order, trans = _explore(None, moves)
+    return FiniteAutomaton(len(order), p.elements(), trans, [0], range(len(order))).minimize()
+
+
+def _reference_combing_acceptor(p):
+    """The combing acceptor as a window automaton run in product with the
+    geodesic acceptor."""
+    table = build_combing_table(p)
+    size = p.size
+    # state 0: even number of letters consumed, no pending window
+    # 1+x: one pending letter x (odd position); 1+size+(x*size+y): two pending
+    pend1 = lambda x: 1 + x
+    pend2 = lambda x, y: 1 + size + x * size + y
+    n_states = 1 + size + size * size
+    trans: dict = {}
+    for x in p.elements():
+        trans[(0, x)] = (pend1(x),)
+        for y in p.elements():
+            trans[(pend1(x), y)] = (pend2(x, y),)
+            for z in p.elements():
+                if (x, y, z) not in table.forbidden:
+                    trans[(pend2(x, y), z)] = (pend1(z),)
+    windows = FiniteAutomaton(
+        n_states, p.elements(), trans, [0], range(n_states)
+    )
+    return _reference_geodesic_acceptor(p).intersect(windows).minimize()
+
+
+def test_acceptors_print_the_reference_machines():
+    tables = solver_tables() + [
+        ("FP2", free_product_pree(load_fixture("zxz"))), ("A2", a2_fano_pree()),
+    ]
+    for name, p in tables:
+        text = lambda m: fsa_to_text(m, lambda sym: render_symbol(p, sym))
+        assert text(geodesic_acceptor(p)) == text(_reference_geodesic_acceptor(p)), name
+        assert text(combing_acceptor(p)) == text(_reference_combing_acceptor(p)), name
 
 
 def test_combing_is_a_sublanguage_of_geodesics(zxz):

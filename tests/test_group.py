@@ -15,6 +15,8 @@ from typing import Optional
 import pytest
 
 from conftest import (
+    a2_fano_pree,
+    a2_sphere_size,
     all_words,
     corrupt_cyclic_pree,
     cyclic_pree,
@@ -396,6 +398,29 @@ def test_ball_sizes_match_plane_count(zxz):
 def test_ball_sizes_match_free_count(taxicab):
     for r in range(5):
         assert cayley_ball(taxicab, r).size == 2 * 3 ** r - 1
+
+
+def test_a2_table_is_a_solver_table():
+    p = a2_fano_pree()
+    assert p.size == 15
+    assert p.validation.ok, p.validation.problems
+    assert p.solver_problem is None
+
+
+def test_a2_ball_sizes_match_the_building_count():
+    p = a2_fano_pree()
+    sizes = [cayley_ball(p, r).size for r in range(4)]
+    assert sizes == [sum(a2_sphere_size(k) for k in range(r + 1)) for r in range(4)]
+    assert sizes == [1, 15, 113, 673]
+
+
+def test_a2_verify_sweeps_pass():
+    p = a2_fano_pree()
+    emb = verify_embedding(p)
+    assert emb.ok and emb.problems == []
+    shorts = verify_short_identities(p)
+    assert shorts.ok and shorts.problems == []
+    assert shorts.notes == ["words checked: 810000, identity words found: 7660"]
 
 
 def test_ball_is_cached(zxz):
