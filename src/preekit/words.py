@@ -192,8 +192,6 @@ def find_strip(p: Pree, w: Word) -> Optional[StripWitness]:
                 low = cur & -cur
                 nxt |= row[low.bit_length() - 1]
                 cur ^= low
-            if not nxt:
-                break
             cur = nxt
             cols.append(cur)
     return None

@@ -1,12 +1,15 @@
+import contextlib
+import io
 import os
 import random
 
 import pytest
 
-from preekit.fsa import PAD, FiniteAutomaton
+from preekit import cli
 from preekit.pree import UNDEF, Pree, load_pree
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def fixture_path(name: str) -> str:
@@ -51,38 +54,6 @@ def cycle4():
 @pytest.fixture(scope="session")
 def cycle5():
     return load_fixture("cycle5")
-
-
-def zxz_vector(p, w):
-    """Independent oracle: letters are lattice vectors, words sum them.
-
-    The group the zxz table presents is the integer plane, so a word is
-    the identity exactly when its letter vectors cancel.
-    """
-    x = y = 0
-    for a in w:
-        nx, ny = p.name(a).strip("()").split(",")
-        x += int(nx)
-        y += int(ny)
-    return x, y
-
-
-def zxz_distance(x: int, y: int) -> int:
-    """Word metric on the plane with unit axis steps and the two
-    diagonal steps (1,1) and (-1,-1)."""
-    if x * y >= 0:
-        return max(abs(x), abs(y))
-    return abs(x) + abs(y)
-
-
-def table_fold(p, w):
-    """Oracle for full tables: fold the word through the table."""
-    e = p.identity
-    for a in w:
-        c = p.product(e, a)
-        assert c is not None
-        e = c
-    return e
 
 
 def all_words(p, length: int):
@@ -186,16 +157,6 @@ def a2_sphere_size(r):
     return 2 * 7 * 4 ** (r - 1) + (r - 1) * 42 * 4 ** max(r - 2, 0)
 
 
-def top_projection(m):
-    """The words on the top tape of a pair machine, the padding dropped."""
-    trans: dict = {}
-    for (s, (x, _)), ts in m.transitions.items():
-        if x != PAD:
-            trans.setdefault((s, x), set()).update(ts)
-    alphabet = list(dict.fromkeys(x for x, _ in m.alphabet if x != PAD))
-    return FiniteAutomaton(m.n_states, alphabet, trans, m.initial, m.accepting)
-
-
 def solver_tables():
     """Fresh tables on which both short-cycle axioms hold: the five good
     fixtures, full cyclic tables Z_5 to Z_10 and two partial dihedral tables."""
@@ -203,3 +164,76 @@ def solver_tables():
     tables += [("Z_%d" % n, cyclic_pree(n, seed=n)) for n in range(5, 11)]
     tables += [("D_6/14", dihedral_subtable(6, 14, keep=0.3)), ("D_5/5", dihedral_subtable(5, 5, keep=0.2))]
     return tables
+
+
+def solver_and_cycle_tables():
+    """``solver_tables()`` and the two fixtures on which one short-cycle
+    axiom fails."""
+    return solver_tables() + [(name, load_fixture(name)) for name in ("cycle4", "cycle5")]
+
+
+def random_words(p, seed, count, max_len):
+    """Random words, and as many whose adjacent pairs have no product,
+    so that the strip search runs on words no contraction shortens."""
+    rng = random.Random(seed)
+    elems = list(p.elements())
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, max_len)
+        out.append(tuple(rng.choice(elems) for _ in range(n)))
+        w = [rng.choice(elems)]
+        while len(w) < n:
+            nxt = [x for x in elems if p.table[w[-1]][x] == UNDEF]
+            if not nxt:
+                break
+            w.append(rng.choice(nxt))
+        out.append(tuple(w))
+    return out
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+TRACE_WORD = "(-1,-1) (-1,0) (0,1) (1,1)"
+
+GOLDEN_CASES = [
+    ("zxz_verify", ["verify", fixture_path("zxz")], 0),
+    ("s3_verify", ["verify", fixture_path("s3")], 0),
+    ("z6_verify", ["verify", fixture_path("z6")], 0),
+    ("q8_verify", ["verify", fixture_path("q8")], 0),
+    ("taxicab_axioms", ["axioms", fixture_path("taxicab")], 0),
+    ("taxicab_ball_r2", ["ball", fixture_path("taxicab"), "-r", "2"], 0),
+    ("cycle4_axioms", ["axioms", fixture_path("cycle4")], 1),
+    ("cycle5_axioms", ["axioms", fixture_path("cycle5")], 1),
+    ("broken_closure_validate", ["validate", fixture_path("broken_closure")], 3),
+    # a strip at 0, then a contraction at 1
+    ("zxz_reduce_trace", ["reduce", fixture_path("zxz"), TRACE_WORD, "--trace"], 0),
+    (
+        "zxz_reduce_trace_records",
+        ["reduce", fixture_path("zxz"), TRACE_WORD, "--trace", "--format", "records"],
+        0,
+    ),
+    ("zxz_fellow_r4_k3", ["fellow", fixture_path("zxz"), "-r", "4", "-k", "3"], 0),
+    # fails, with the empty word in the worst pair
+    ("zxz_fellow_r3_k0", ["fellow", fixture_path("zxz"), "-r", "3", "-k", "0"], 1),
+    (
+        "zxz_fellow_r3_k0_records",
+        ["fellow", fixture_path("zxz"), "-r", "3", "-k", "0", "--format", "records"],
+        1,
+    ),
+    ("zxz_fellow_r2_k12", ["fellow", fixture_path("zxz"), "-r", "2", "-k", "12"], 0),
+    ("zxz_export_geodesic", ["export-fsa", fixture_path("zxz"), "--which", "geodesic"], 0),
+    ("zxz_export_combing", ["export-fsa", fixture_path("zxz"), "--which", "combing"], 0),
+    (
+        "taxicab_comb_n3_records",
+        ["comb", fixture_path("taxicab"), "--enumerate", "3", "--format", "records"],
+        0,
+    ),
+    ("zxz_geodesic_yes", ["geodesic", fixture_path("zxz"), "(1,0) (1,1) (1,1)"], 0),
+    # no contraction, but the whole word is one strip
+    ("zxz_geodesic_no", ["geodesic", fixture_path("zxz"), "(0,1) (1,1) (1,0)"], 1),
+]

@@ -8,10 +8,12 @@ must be investigated, not re-pinned.
 """
 
 import itertools
+import os
 import random
 import time
 
-from conftest import fixture_path, load_fixture, table_fold
+from conftest import GOLDEN, GOLDEN_CASES, _run, fixture_path, load_fixture
+from oracles import nfa_accepts, reference_canonical, table_fold
 from preekit.diagrams import diagram_stats, find_minimal_diagram, grow_random, curvature_check
 from preekit.fsa import FiniteAutomaton, combing_acceptor, geodesic_acceptor, word_difference_machine
 from preekit.group import (
@@ -23,8 +25,8 @@ from preekit.group import (
     verify_short_identities,
     verify_surjectivity,
 )
-from preekit.pree import check_axiom, load_pree, validate_pree
-from preekit.words import inverse_word, parse_word
+from preekit.pree import check_axiom, validate_pree
+from preekit.words import parse_word
 
 
 def _verdict(capsys, num, ok, detail):
@@ -151,16 +153,6 @@ def test_c07_full_tables_saturate(capsys, s3, z6, q8):
 
 def test_c08_minimal_diagrams_for_identity_words(capsys, zxz):
     letters = zxz.nonidentity()
-
-    def canon(w):
-        best = None
-        for t in (w, inverse_word(zxz, w)):
-            for r in range(len(t)):
-                c = t[r:] + t[:r]
-                if best is None or c < best:
-                    best = c
-        return best
-
     per_length = {}
     classes = set()
     for n in range(2, 7):
@@ -168,7 +160,7 @@ def test_c08_minimal_diagrams_for_identity_words(capsys, zxz):
         for w in itertools.product(letters, repeat=n):
             if bfs_identity_oracle(zxz, w, length_bound=12) is True:
                 cnt += 1
-                classes.add(canon(w))
+                classes.add(reference_canonical(zxz, w))
         per_length[n] = cnt
     ok = per_length == {2: 6, 3: 12, 4: 90, 5: 360, 6: 2040}
 
@@ -236,15 +228,6 @@ def test_c10_fellow_traveling_reproducible(capsys, zxz):
 
 def test_c11_automaton_algebra_random(capsys):
     rng = random.Random(301)
-
-    def sim(m, w):
-        cur = set(m.initial)
-        for sym in w:
-            cur = {t for s in cur for t in m.transitions.get((s, sym), ())}
-            if not cur:
-                return False
-        return bool(cur & set(m.accepting))
-
     words = [w for n in range(11) for w in itertools.product("ab", repeat=n)]
     bad = 0
     for _ in range(100):
@@ -260,7 +243,7 @@ def test_c11_automaton_algebra_random(capsys):
             [s for s in range(n) if rng.random() < 0.4] or [0],
             [s for s in range(n) if rng.random() < 0.4],
         )
-        direct = [w for w in words if sim(m, w)]
+        direct = [w for w in words if nfa_accepts(m, w)]
         accepted = set(direct)
         rest = [w for w in words if w not in accepted]
         key = lambda w: (len(w), tuple("ab".index(s) for s in w))
@@ -274,9 +257,6 @@ def test_c11_automaton_algebra_random(capsys):
 
 
 def test_c12_cli_verify_and_goldens(capsys):
-    from test_cli import GOLDEN, GOLDEN_CASES, _run
-    import os
-
     code, _, _ = _run(["verify", fixture_path("zxz")])
     ok = code == 0
     stable = 0

@@ -1,64 +1,12 @@
 """Exit codes, output shapes, and the pinned golden transcripts."""
 
-import contextlib
-import io
 import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import FIXTURES, fixture_path
-from preekit import cli
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-
-TRACE_WORD = "(-1,-1) (-1,0) (0,1) (1,1)"
-
-GOLDEN_CASES = [
-    ("zxz_verify", ["verify", fixture_path("zxz")], 0),
-    ("s3_verify", ["verify", fixture_path("s3")], 0),
-    ("z6_verify", ["verify", fixture_path("z6")], 0),
-    ("q8_verify", ["verify", fixture_path("q8")], 0),
-    ("taxicab_axioms", ["axioms", fixture_path("taxicab")], 0),
-    ("taxicab_ball_r2", ["ball", fixture_path("taxicab"), "-r", "2"], 0),
-    ("cycle4_axioms", ["axioms", fixture_path("cycle4")], 1),
-    ("cycle5_axioms", ["axioms", fixture_path("cycle5")], 1),
-    ("broken_closure_validate", ["validate", fixture_path("broken_closure")], 3),
-    # a strip at 0, then a contraction at 1
-    ("zxz_reduce_trace", ["reduce", fixture_path("zxz"), TRACE_WORD, "--trace"], 0),
-    (
-        "zxz_reduce_trace_records",
-        ["reduce", fixture_path("zxz"), TRACE_WORD, "--trace", "--format", "records"],
-        0,
-    ),
-    ("zxz_fellow_r4_k3", ["fellow", fixture_path("zxz"), "-r", "4", "-k", "3"], 0),
-    # fails, with the empty word in the worst pair
-    ("zxz_fellow_r3_k0", ["fellow", fixture_path("zxz"), "-r", "3", "-k", "0"], 1),
-    (
-        "zxz_fellow_r3_k0_records",
-        ["fellow", fixture_path("zxz"), "-r", "3", "-k", "0", "--format", "records"],
-        1,
-    ),
-    ("zxz_fellow_r2_k12", ["fellow", fixture_path("zxz"), "-r", "2", "-k", "12"], 0),
-    ("zxz_export_geodesic", ["export-fsa", fixture_path("zxz"), "--which", "geodesic"], 0),
-    ("zxz_export_combing", ["export-fsa", fixture_path("zxz"), "--which", "combing"], 0),
-    (
-        "taxicab_comb_n3_records",
-        ["comb", fixture_path("taxicab"), "--enumerate", "3", "--format", "records"],
-        0,
-    ),
-    ("zxz_geodesic_yes", ["geodesic", fixture_path("zxz"), "(1,0) (1,1) (1,1)"], 0),
-    # no contraction, but the whole word is one strip
-    ("zxz_geodesic_no", ["geodesic", fixture_path("zxz"), "(0,1) (1,1) (1,0)"], 1),
-]
-
-
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+from conftest import GOLDEN, GOLDEN_CASES, _run, fixture_path
 
 
 @pytest.mark.parametrize("name,argv,want", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])

@@ -1,18 +1,17 @@
 """Triangulated discs: moves, curvature bookkeeping, minimal search.
 
 Minimal areas are cross-checked by a forward breadth-first search over
-boundary words that shares no code with the production A* search.
+boundary words (``oracles.forward_min_area``) that shares no code with
+the production A* search.
 """
 
 import random
-from collections import deque
 
 import pytest
 
-from conftest import zxz_vector
+from oracles import forward_min_area, reference_canonical, reference_diagram_stats, zxz_vector
 from preekit.diagrams import (
     DiagramError,
-    DiagramStats,
     _fold,
     attach_triangle,
     curvature_check,
@@ -27,52 +26,6 @@ from preekit.diagrams import (
     single_triangle,
 )
 from preekit.words import find_strip, inverse_word, parse_word
-
-
-def _canon(p, w):
-    best = None
-    for t in (w, tuple(p.inv[a] for a in reversed(w))):
-        for r in range(len(t)):
-            cand = t[r:] + t[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-def _forward_min_area(p, w, cap):
-    """Grow boundary words triangle by triangle, breadth-first."""
-    target = _canon(p, w)
-    fact = [[] for _ in range(p.size)]
-    triangles = set()
-    for a, b, c in p.defined_pairs():
-        fact[c].append((a, b))
-        triangles.add(_canon(p, (a, b, p.inv[c])))
-    if target in triangles:
-        return 1
-    seen = set(triangles)
-    layer = deque((t, 1) for t in sorted(triangles))
-    while layer:
-        u, area = layer.popleft()
-        if area >= cap:
-            continue
-        n = len(u)
-        succs = []
-        for i in range(n):
-            x, y = u[i], u[(i + 1) % n]
-            c = p.table[x][y]
-            if c != -1 and n >= 3:
-                succs.append(u[:i] + (c,) + u[i + 2 :] if i + 1 < n else (c,) + u[1:-1])
-        for i in range(n):
-            for e, f in fact[u[i]]:
-                succs.append(u[:i] + (e, f) + u[i + 1 :])
-        for v in succs:
-            cv = _canon(p, v)
-            if cv == target:
-                return area + 1
-            if cv not in seen:
-                seen.add(cv)
-                layer.append((cv, area + 1))
-    return None
 
 
 def _tri(zxz):
@@ -198,51 +151,11 @@ def test_reduce_internal_degree_four_vertex(zxz):
     x, diag = zxz.id_of("(1,0)"), zxz.id_of("(1,1)")
     d = fan_diagram(zxz, [x, diag, x, diag])
     assert d.degrees()[0] == 4
-    before = _canon(zxz, d.boundary_word())
+    before = reference_canonical(zxz, d.boundary_word())
     d2 = reduce_internal_vertex(zxz, d, 0)
     assert d2.area == d.area - 2
-    assert _canon(zxz, d2.boundary_word()) == before
+    assert reference_canonical(zxz, d2.boundary_word()) == before
     assert curvature_check(d2)[2]
-
-
-def _reference_diagram_stats(d):
-    """``diagram_stats`` with the no-anchor and one-anchor cases spelled out."""
-    deg = d.degrees()
-    bverts = d.boundary_vertices()
-    on_b = set(bverts)
-    d2 = sum(1 for v in on_b if deg[v] == 2)
-    d3 = sum(1 for v in on_b if deg[v] == 3)
-    d5 = sum(1 for v in on_b if deg[v] > 4)
-    internal = tuple(sorted(deg[v] for v in range(d.n_vertices) if v not in on_b))
-    n = len(bverts)
-    anchors = [q for q in range(n) if deg[bverts[q]] in (2, 3)]
-    if not anchors:
-        galleries = 0
-    elif len(anchors) == 1:
-        others = [deg[bverts[q]] for q in range(n) if q != anchors[0]]
-        galleries = 1 if all(x == 4 for x in others) else 0
-    else:
-        galleries = 0
-        for ai in range(len(anchors)):
-            a, bq = anchors[ai], anchors[(ai + 1) % len(anchors)]
-            gap_ok = True
-            q = (a + 1) % n
-            while q != bq:
-                if deg[bverts[q]] != 4:
-                    gap_ok = False
-                    break
-                q = (q + 1) % n
-            if gap_ok:
-                galleries += 1
-    return DiagramStats(
-        area=d.area,
-        boundary_length=n,
-        delta2=d2,
-        delta3=d3,
-        delta5=d5,
-        internal_degrees=internal,
-        galleries=galleries,
-    )
 
 
 def test_stats_match_the_reference_on_random_diagrams(zxz, s3, q8):
@@ -252,7 +165,7 @@ def test_stats_match_the_reference_on_random_diagrams(zxz, s3, q8):
         for _ in range(1500):
             d = grow_random(p, rng, rng.randrange(1, 21))
             stats = diagram_stats(d)
-            assert stats == _reference_diagram_stats(d)
+            assert stats == reference_diagram_stats(d)
             deg = d.degrees()
             anchors = sum(1 for v in d.boundary_vertices() if deg[v] in (2, 3))
             seen.add((min(anchors, 2), stats.galleries))
@@ -299,13 +212,13 @@ def test_minimal_areas_match_forward_search(zxz):
         if zxz_vector(zxz, w) != (0, 0):
             continue
         checked += 1
-        want = _forward_min_area(zxz, w, 6)
+        want = forward_min_area(zxz, w, 6)
         d = find_minimal_diagram(zxz, w, max_area=6)
         if want is None:
             assert d is None
         else:
             assert d is not None and d.area == want
-            assert _canon(zxz, d.boundary_word()) == _canon(zxz, w)
+            assert reference_canonical(zxz, d.boundary_word()) == reference_canonical(zxz, w)
             s = diagram_stats(d)
             assert 2 * s.delta2 + s.delta3 >= 6 + s.delta5
 

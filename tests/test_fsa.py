@@ -1,21 +1,24 @@
 """Generic automaton algebra and the pree-specific languages.
 
-The generic half is exercised against a frontier simulation written
-here; the language half against the word-level predicates they are
-supposed to match.
+The generic half is exercised against a frontier simulation,
+``oracles.nfa_accepts``; the language half against the word-level
+predicates they are supposed to match.
 """
 
 import itertools
 import random
 
 from conftest import (
-    a2_fano_pree, all_words, free_product_pree, load_fixture, solver_tables, top_projection,
+    a2_fano_pree, all_words, free_product_pree, load_fixture, random_words,
+    solver_and_cycle_tables, solver_tables,
+)
+from oracles import (
+    nfa_accepts, reference_combing_acceptor, reference_geodesic_acceptor, reference_pre_sweep, top_projection,
 )
 from preekit import group
 from preekit.fsa import (
     PAD,
     FiniteAutomaton,
-    _explore,
     build_combing_table,
     combing_acceptor,
     fsa_to_dot,
@@ -25,21 +28,9 @@ from preekit.fsa import (
     strip_reduction_pair_recognizer,
     word_difference_machine,
 )
-from preekit.group import (
-    FellowTravelerReport, cayley_ball, equals_identity, neighbor_pairs, verify_short_identities,
-)
+from preekit.group import FellowTravelerReport, cayley_ball, equals_identity, verify_short_identities
 from preekit.pree import UNDEF
-from preekit.words import find_strip, geodesic_step, is_geodesic_word, parse_word, strongly_reduce
-from test_strip_masks import _words
-
-
-def _sim(m, w):
-    cur = set(m.initial)
-    for sym in w:
-        cur = {t for s in cur for t in m.transitions.get((s, sym), ())}
-        if not cur:
-            return False
-    return bool(cur & set(m.accepting))
+from preekit.words import find_strip, is_geodesic_word, parse_word, strongly_reduce
 
 
 def _random_nfa(rng, max_states=6):
@@ -70,7 +61,7 @@ def test_boolean_algebra_on_random_nfas():
         assert d.deterministic and mini.deterministic and comp.deterministic
         assert mini.n_states <= d.complete().n_states
         for w in _short_words(5):
-            want = _sim(m, w)
+            want = nfa_accepts(m, w)
             assert d.accepts(w) == want
             assert mini.accepts(w) == want
             assert comp.accepts(w) == (not want)
@@ -83,8 +74,8 @@ def test_intersect_union_on_random_nfas():
         both = m1.intersect(m2)
         either = m1.union(m2)
         for w in _short_words(4):
-            assert both.accepts(w) == (_sim(m1, w) and _sim(m2, w))
-            assert either.accepts(w) == (_sim(m1, w) or _sim(m2, w))
+            assert both.accepts(w) == (nfa_accepts(m1, w) and nfa_accepts(m2, w))
+            assert either.accepts(w) == (nfa_accepts(m1, w) or nfa_accepts(m2, w))
 
 
 def test_enumerate_words_is_length_lex_and_complete():
@@ -92,7 +83,7 @@ def test_enumerate_words_is_length_lex_and_complete():
     for _ in range(25):
         m = _random_nfa(rng)
         got = m.enumerate_words(5)
-        want = [w for w in _short_words(5) if _sim(m, w)]
+        want = [w for w in _short_words(5) if nfa_accepts(m, w)]
         want.sort(key=lambda w: (len(w), tuple("ab".index(s) for s in w)))
         assert got == want
 
@@ -154,8 +145,7 @@ def test_fsa_text_and_dot_are_stable():
 
 
 def test_geodesic_acceptor_matches_word_predicate():
-    tables = solver_tables() + [(name, load_fixture(name)) for name in ("cycle4", "cycle5")]
-    for name, p in tables:
+    for name, p in solver_and_cycle_tables():
         acc = geodesic_acceptor(p)
         # the empty word is the geodesic spelling of the identity, even
         # though the word predicate refuses degenerate inputs
@@ -163,7 +153,7 @@ def test_geodesic_acceptor_matches_word_predicate():
         # every word of up to four letters, or three on the larger tables
         top = 4 if p.size ** 4 <= 10_000 else 3
         short = [w for n in range(1, top + 1) for w in itertools.product(p.elements(), repeat=n)]
-        long = _words(p, 6, 30, 256)
+        long = random_words(p, 6, 30, 256)
         long += [strongly_reduce(p, w)[0] for w in long]
         for w in short + long:
             assert acc.accepts(w) == is_geodesic_word(p, w), (name, w)
@@ -199,56 +189,14 @@ def test_strip_pair_projection_matches_find_strip(zxz):
             assert proj.accepts(w) == (find_strip(zxz, w) is not None), w
 
 
-def _reference_geodesic_acceptor(p):
-    """The geodesic acceptor as a walk of its own (moves written inline)."""
-
-    def moves(state):
-        if state is None:
-            for y in p.nonidentity():
-                yield y, (y, 0)
-            return
-        x, mask = state
-        for y in p.elements():
-            nxt = geodesic_step(p, x, mask, y)
-            if nxt is not None:
-                yield y, (y, nxt)
-
-    order, trans = _explore(None, moves)
-    return FiniteAutomaton(len(order), p.elements(), trans, [0], range(len(order))).minimize()
-
-
-def _reference_combing_acceptor(p):
-    """The combing acceptor as a window automaton run in product with the
-    geodesic acceptor."""
-    table = build_combing_table(p)
-    size = p.size
-    # state 0: even number of letters consumed, no pending window
-    # 1+x: one pending letter x (odd position); 1+size+(x*size+y): two pending
-    pend1 = lambda x: 1 + x
-    pend2 = lambda x, y: 1 + size + x * size + y
-    n_states = 1 + size + size * size
-    trans: dict = {}
-    for x in p.elements():
-        trans[(0, x)] = (pend1(x),)
-        for y in p.elements():
-            trans[(pend1(x), y)] = (pend2(x, y),)
-            for z in p.elements():
-                if (x, y, z) not in table.forbidden:
-                    trans[(pend2(x, y), z)] = (pend1(z),)
-    windows = FiniteAutomaton(
-        n_states, p.elements(), trans, [0], range(n_states)
-    )
-    return _reference_geodesic_acceptor(p).intersect(windows).minimize()
-
-
 def test_acceptors_print_the_reference_machines():
     tables = solver_tables() + [
         ("FP2", free_product_pree(load_fixture("zxz"))), ("A2", a2_fano_pree()),
     ]
     for name, p in tables:
         text = lambda m: fsa_to_text(m, lambda sym: render_symbol(p, sym))
-        assert text(geodesic_acceptor(p)) == text(_reference_geodesic_acceptor(p)), name
-        assert text(combing_acceptor(p)) == text(_reference_combing_acceptor(p)), name
+        assert text(geodesic_acceptor(p)) == text(reference_geodesic_acceptor(p)), name
+        assert text(combing_acceptor(p)) == text(reference_combing_acceptor(p)), name
 
 
 def test_combing_is_a_sublanguage_of_geodesics(zxz):
@@ -303,28 +251,6 @@ def test_word_difference_machine_reports_tight_bound_failures(zxz):
     assert not got.ok
     assert got.max_separation == 1
     assert "worst pair: [] [(0,1)]" in got.render(zxz)
-
-
-def reference_pre_sweep(p, language, K, R):
-    """The word-difference machine's own pair sweep before it ran the
-    fellow-traveler check, verbatim but for returning the failing pair."""
-    arena = cayley_ball(p, K + 1)
-    dist, step, left, inv = arena.dist, arena.step, arena.left, p.inv
-
-    # endpoints live at distance <= R; one extra layer keeps their
-    # neighbor lookups inside complete rows
-    ball = cayley_ball(p, R + 1)
-    words = [tuple(w) for w in language.enumerate_words(R)]
-    for u, v in neighbor_pairs(p, ball, words):
-        d = 0
-        for s in range(max(len(u), len(v))):
-            if s < len(u):
-                d = left[d][inv[u[s]]]
-            if d != -1 and s < len(v):
-                d = step[d][v[s]]
-            if d == -1 or dist[d] > K:
-                return u, v
-    return None
 
 
 def test_machine_fails_exactly_when_the_pre_sweep_did():

@@ -1,8 +1,8 @@
 """Axiom checking, the identity solvers, balls, and fellow traveling.
 
-Oracles here never go through the code under test: the lattice table is
-checked against plane vectors, the free table against stack
-cancellation, and the full tables against direct folding.
+The lattice table is checked against plane vectors, the free table
+against stack cancellation, the full tables against direct folding, and
+the faster searches against the code they replaced (``oracles.py``).
 """
 
 import dataclasses
@@ -10,20 +10,26 @@ import gc
 import itertools
 import random
 import weakref
-from typing import Optional
 
 import pytest
 
 from conftest import (
     a2_fano_pree,
     a2_sphere_size,
-    all_words,
     corrupt_cyclic_pree,
     cyclic_pree,
     dihedral_subtable,
     fixture_path,
     load_fixture,
+    solver_and_cycle_tables,
     solver_tables,
+)
+from oracles import (
+    build_ball,
+    free_reduce,
+    reference_check_axiom,
+    reference_lattice_contains,
+    reference_short_identities,
     table_fold,
     zxz_distance,
     zxz_vector,
@@ -31,8 +37,6 @@ from conftest import (
 from preekit import cli, group, pree
 from preekit.fsa import FiniteAutomaton, combing_acceptor, word_difference_machine
 from preekit.group import (
-    BALL_ELEMENT_CAP,
-    CayleyBall,
     abelian_obstruction,
     axioms_hold,
     bfs_identity_oracle,
@@ -40,72 +44,16 @@ from preekit.group import (
     equals_identity,
     fellow_traveler_check,
     neighbor_pairs,
-    require_solver,
     sync_separation,
     verify_embedding,
     verify_short_identities,
     verify_surjectivity,
 )
-from preekit.pree import UNDEF, AxiomWitness, Pree, PreeError, VerificationReport, check_axiom
-from preekit.words import Word, inverse_word, parse_word, render_word, strongly_reduce
-
-
-def _free_reduce(p, w):
-    """Stack cancellation, the whole story for a table with no products."""
-    out = []
-    for a in w:
-        if a == p.identity:
-            continue
-        if out and out[-1] == p.inv[a]:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
+from preekit.pree import UNDEF, PreeError, check_axiom
+from preekit.words import parse_word
 
 
 ALL_FIXTURES = ("zxz", "s3", "z6", "q8", "taxicab", "cycle4", "cycle5", "broken_closure")
-
-
-def _reference_cycle_fails(p, cycle):
-    n = len(cycle)
-    quot = []
-    for i in range(n):
-        q = p.table[p.inv[cycle[i]]][cycle[(i + 1) % n]]
-        if q == UNDEF:
-            return None
-        quot.append(q)
-    for i in range(n):
-        if p.table[quot[i]][quot[(i + 1) % n]] != UNDEF:
-            return None
-    return tuple(quot)
-
-
-def _reference_check_axiom(p, n):
-    """The unpruned search: every cycle whose quotients are all defined."""
-    cycle = [0] * n
-
-    def extend(i):
-        if i == n:
-            return _reference_cycle_fails(p, cycle)
-        for a in range(p.size):
-            cycle[i] = a
-            if i > 0 and p.table[p.inv[cycle[i - 1]]][a] == UNDEF:
-                continue
-            got = extend(i + 1)
-            if got is not None:
-                return got
-        return None
-
-    quot = extend(0)
-    if quot is None:
-        return None
-    witness = AxiomWitness(cycle=tuple(cycle), quotients=quot)
-    for r in range(1, n):
-        if _reference_cycle_fails(p, witness.cycle[r:] + witness.cycle[:r]) is None:
-            raise PreeError("witness not rotation-closed: %s" % witness.render(p))
-    if _reference_cycle_fails(p, tuple(reversed(witness.cycle))) is None:
-        raise PreeError("witness not reversal-closed: %s" % witness.render(p))
-    return witness
 
 
 def _axiom_outcome(search, p, n):
@@ -113,25 +61,6 @@ def _axiom_outcome(search, p, n):
         return search(p, n)
     except PreeError as exc:
         return "raised: %s" % exc
-
-
-def _reference_short_identities(p):
-    """The per-word loop: one solver call for every word of length 4 and 5.
-
-    The solver is looked up on the module, so a test's patch reaches it."""
-    r = VerificationReport("short-identity-reducibility")
-    checked = 0
-    hits = 0
-    for n in (4, 5):
-        for w in itertools.product(p.elements(), repeat=n):
-            checked += 1
-            if not group.equals_identity(p, w):
-                continue
-            hits += 1
-            if all(p.table[w[i]][w[i + 1]] == UNDEF for i in range(n - 1)):
-                r.problem("irreducible identity word: " + render_word(p, w))
-    r.note("words checked: %d, identity words found: %d" % (checked, hits))
-    return r
 
 
 def _plane_ball_count(r):
@@ -179,7 +108,7 @@ def test_check_axiom_matches_unpruned_search():
     tables += [("D_6/%d" % seed, dihedral_subtable(6, seed)) for seed in range(10)]
     for name, p in tables:
         for n in (4, 5):
-            want = _axiom_outcome(_reference_check_axiom, p, n)
+            want = _axiom_outcome(reference_check_axiom, p, n)
             assert _axiom_outcome(check_axiom, p, n) == want, (name, n)
 
 
@@ -254,20 +183,6 @@ def test_residue_is_an_element_invariant(zxz):
         assert obs.residue(w) == obs.residue(w + (zxz.identity,))
 
 
-def reference_lattice_contains(obs, vec):
-    """The membership loop might_be_identity used before it read the residue."""
-    v = list(vec)
-    for r, col in obs.pivots:
-        if v[r] == 0:
-            continue
-        if v[r] % col[r] != 0:
-            return False
-        q = v[r] // col[r]
-        for i in range(len(v)):
-            v[i] -= q * col[i]
-    return not any(v)
-
-
 def _word_congruent_to(p, obs, vec):
     """A word whose vector equals vec modulo the lattice.  The column of
     a*inv(a) = 1 is e_a + e_inv(a), so -e_a is e_inv(a) modulo it."""
@@ -277,8 +192,8 @@ def _word_congruent_to(p, obs, vec):
     return tuple(a for a in counts for _ in range(counts[a]))
 
 
-def test_residue_membership_matches_reference_loop(cycle4, cycle5):
-    tables = solver_tables() + [("cycle4", cycle4), ("cycle5", cycle5)]
+def test_residue_membership_matches_reference_loop():
+    tables = solver_and_cycle_tables()
     tables.append(("broken_closure", load_fixture("broken_closure")))
     rng = random.Random(29)
     verdicts = set()
@@ -337,7 +252,7 @@ def test_equals_identity_matches_free_oracle(taxicab):
     letters = taxicab.nonidentity()
     for _ in range(400):
         w = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 9)))
-        assert equals_identity(taxicab, w) == (_free_reduce(taxicab, w) == ())
+        assert equals_identity(taxicab, w) == (free_reduce(taxicab, w) == ())
 
 
 def test_equals_identity_on_full_tables(s3, z6, q8):
@@ -427,104 +342,6 @@ def test_ball_is_cached(zxz):
     assert cayley_ball(zxz, 2) is cayley_ball(zxz, 2)
 
 
-def _build_ball(p: Pree, radius: int, method: str) -> CayleyBall:
-    """One fresh breadth-first build of exactly ``radius`` layers: the
-    reference that each snapshot of a table's one build must equal."""
-    if method == "dehn":
-        require_solver(p)
-
-        def same(u: Word, v: Word) -> bool:
-            return equals_identity(p, u + inverse_word(p, v))
-
-    elif method == "oracle":
-        bound = 2 * radius + 6
-
-        def same(u: Word, v: Word) -> bool:
-            got = bfs_identity_oracle(p, u + inverse_word(p, v), length_bound=bound)
-            if got is None:
-                raise PreeError("oracle undecided while building ball")
-            return got
-
-    else:
-        raise PreeError("unknown ball method %r" % method)
-
-    obs = abelian_obstruction(p)
-    gens = p.nonidentity()
-    reps: list[Word] = [()]
-    dist: list[int] = [0]
-    buckets: dict[tuple[int, ...], list[int]] = {obs.residue(()): [0]}
-    # strongly reduced forms give a sound fast path: one reduced word
-    # never names two elements, though one element may have several
-    by_reduced: dict[Word, int] = {(): 0, (p.identity,): 0}
-
-    def identify(w: Word) -> tuple[Optional[int], Word]:
-        rw, _ = strongly_reduce(p, w)
-        hit = by_reduced.get(rw)
-        if hit is not None:
-            return hit, rw
-        for e in buckets.get(obs.residue(rw), ()):
-            if same(rw, reps[e]):
-                by_reduced[rw] = e
-                return e, rw
-        return None, rw
-
-    step_rows: dict[int, list[int]] = {}
-    frontier = [0]
-    for layer in range(1, radius + 1):
-        new: list[int] = []
-        for e in frontier:
-            row = step_rows.setdefault(e, [-1] * p.size)
-            for g in gens:
-                w = reps[e] + (g,)
-                t, rw = identify(w)
-                if t is None:
-                    t = len(reps)
-                    reps.append(w)
-                    dist.append(layer)
-                    buckets.setdefault(obs.residue(rw), []).append(t)
-                    by_reduced[rw] = t
-                    new.append(t)
-                    if len(reps) > BALL_ELEMENT_CAP:
-                        raise PreeError("ball exceeds element cap")
-                row[g] = t
-        frontier = new
-
-    n = len(reps)
-    for e in range(n):
-        step_rows.setdefault(e, [-1] * p.size)[p.identity] = e
-    # Boundary rows are filled from the interior side: e2*g = f exactly
-    # when f*inv(g) = e2, and interior rows are total.  Entries whose
-    # source and target both sit on the boundary stay -1.
-    for f in range(n):
-        if dist[f] == radius and radius > 0:
-            continue
-        frow = step_rows[f]
-        for g in gens:
-            e2 = frow[p.inv[g]]
-            if e2 != -1:
-                row2 = step_rows[e2]
-                if row2[g] == -1:
-                    row2[g] = f
-    step = tuple(tuple(step_rows[e]) for e in range(n))
-
-    # left[e][x] propagates along the BFS tree: with e = parent * h,
-    # x * e = (x * parent) * h; at the root, x * 1 = 1 * x.
-    left_rows = [list(step[0])] + [[-1] * p.size for _ in range(n - 1)]
-    for e in range(1, n):
-        parent_word, h = reps[e][:-1], reps[e][-1]
-        pe = 0
-        for y in parent_word:
-            pe = step[pe][y]
-        for x in p.elements():
-            xp = left_rows[pe][x]
-            left_rows[e][x] = -1 if xp == -1 else step[xp][h]
-    left = tuple(tuple(r) for r in left_rows)
-
-    return CayleyBall(
-        pree=p, radius=radius, reps=tuple(reps), dist=tuple(dist), step=step, left=left
-    )
-
-
 def _ball_tables():
     """Tables with the radii their snapshots are checked at."""
     tables = [(name, load_fixture(name), range(9)) for name in ("zxz", "s3", "z6", "q8")]
@@ -542,7 +359,7 @@ def test_every_snapshot_equals_a_fresh_build(monkeypatch):
     monkeypatch.setattr(group, "strongly_reduce", lambda q, w: reduced.append(w) or reduce(q, w))
     rng = random.Random(16)
     for name, p, radii in _ball_tables():
-        want = {r: _build_ball(p, r, "dehn") for r in radii}
+        want = {r: build_ball(p, r, "dehn") for r in radii}
         reduced.clear()
         cayley_ball(dataclasses.replace(p), max(radii))
         once = len(reduced)
@@ -567,7 +384,7 @@ def test_oracle_snapshots_equal_fresh_builds_at_the_bound_of_the_radius_asked(mo
     )
     for r, grown in ((2, {10}), (0, set()), (1, set()), (3, {12})):
         bounds.clear()
-        assert cayley_ball(p, r, method="oracle") == _build_ball(load_fixture("zxz"), r, "oracle"), r
+        assert cayley_ball(p, r, method="oracle") == build_ball(load_fixture("zxz"), r, "oracle"), r
         assert set(bounds) == grown, r
 
 
@@ -580,7 +397,7 @@ def test_a_growth_that_raises_leaves_no_half_grown_build(monkeypatch):
     with pytest.raises(PreeError, match="ball exceeds element cap"):
         cayley_ball(p, 4)
     monkeypatch.undo()
-    assert cayley_ball(p, 4) == _build_ball(load_fixture("zxz"), 4, "dehn")
+    assert cayley_ball(p, 4) == build_ball(load_fixture("zxz"), 4, "dehn")
 
     p = load_fixture("zxz")
     cayley_ball(p, 1, method="oracle")
@@ -596,7 +413,7 @@ def test_a_growth_that_raises_leaves_no_half_grown_build(monkeypatch):
     with pytest.raises(PreeError, match="oracle undecided"):
         cayley_ball(p, 3, method="oracle")
     monkeypatch.undo()
-    assert cayley_ball(p, 3, method="oracle") == _build_ball(load_fixture("zxz"), 3, "oracle")
+    assert cayley_ball(p, 3, method="oracle") == build_ball(load_fixture("zxz"), 3, "oracle")
 
 
 def test_ball_past_the_element_cap_raises(monkeypatch):
@@ -718,7 +535,7 @@ def test_verify_short_identities(zxz, s3, taxicab):
 def test_short_identities_match_per_word_solver():
     for name, p in solver_tables():
         assert axioms_hold(p), name
-        got, want = verify_short_identities(p), _reference_short_identities(p)
+        got, want = verify_short_identities(p), reference_short_identities(p)
         assert (got.ok, got.problems, got.notes) == (want.ok, want.problems, want.notes), name
 
 
@@ -734,7 +551,7 @@ def test_short_identities_list_irreducible_words_in_word_order(monkeypatch):
         monkeypatch.setattr(group.CayleyBall, "is_identity", lambda b, w: irreducible(b.pree, w) or decide(b, w))
         monkeypatch.setattr(group, "equals_identity", lambda q, w: irreducible(q, w) or solver(q, w))
         got = verify_short_identities(p)
-        want = _reference_short_identities(load_fixture(name))
+        want = reference_short_identities(load_fixture(name))
         monkeypatch.undo()
         assert got.problems, name
         assert got.problems == want.problems, name

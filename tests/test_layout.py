@@ -1,0 +1,35 @@
+"""The repository's layout: shared test code lives in ``conftest.py`` and
+``oracles.py``, and the README's library example runs."""
+
+import ast
+import os
+import re
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def test_no_file_imports_a_test_module():
+    offenders = []
+    for folder in ("tests", "tools"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, folder)):
+            for path in [os.path.join(dirpath, f) for f in sorted(files) if f.endswith(".py")]:
+                with open(path) as fh:
+                    tree = ast.parse(fh.read(), path)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    else:
+                        continue
+                    if any(part.startswith("test_") for m in modules for part in m.split(".")):
+                        offenders.append("%s:%d" % (os.path.relpath(path, ROOT), node.lineno))
+    assert offenders == []
+
+
+def test_readme_library_example_runs(monkeypatch):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.S | re.M)
+    assert len(blocks) == 1
+    monkeypatch.chdir(ROOT)
+    exec(compile(blocks[0], "README.md", "exec"), {})

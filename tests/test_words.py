@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from conftest import all_words, table_fold, zxz_distance, zxz_vector
-from preekit.pree import UNDEF, PreeError
+from conftest import all_words
+from oracles import reference_reduce_once, reference_strip_reduce_once, table_fold, zxz_distance, zxz_vector
+from preekit.pree import PreeError
 from preekit.words import (
     ReductionTrace,
     StripWitness,
@@ -23,17 +24,6 @@ from preekit.words import (
 def _random_word(rng, p, length):
     letters = p.nonidentity()
     return tuple(rng.choice(letters) for _ in range(length))
-
-
-def _has_defined_pair(p, w):
-    return any(p.table[a][b] != UNDEF for a, b in zip(w, w[1:]))
-
-
-def _strip(p, w):
-    """The word after its leftmost strip, and the strip's witness."""
-    wit = find_strip(p, w)
-    assert wit is not None
-    return w[: wit.start] + wit.output + w[wit.start + wit.top_length :], wit
 
 
 def test_parse_render_roundtrip(zxz, s3):
@@ -80,8 +70,8 @@ def test_strip_reduces_the_known_nongeodesic(zxz):
     # No adjacent product is defined here, yet the word is one letter too
     # long; only a strip can see that.
     w = parse_word(zxz, "(0,1) (1,1) (1,0)")
-    assert not _has_defined_pair(zxz, w)
-    out, wit = _strip(zxz, w)
+    assert reference_reduce_once(zxz, w) is None
+    out, wit = reference_strip_reduce_once(zxz, w)
     wit.validate(zxz)
     assert wit.start == 0 and wit.top == w
     assert len(out) == 2
@@ -102,8 +92,8 @@ def test_strip_prefers_leftmost_start(zxz):
     # A length-3 strip exists at position 1, but position 0 carries a
     # length-4 strip and the leftmost start wins.
     w = parse_word(zxz, "(0,1) (0,1) (1,1) (1,0)")
-    assert not _has_defined_pair(zxz, w)
-    _, wit = _strip(zxz, w)
+    assert reference_reduce_once(zxz, w) is None
+    _, wit = reference_strip_reduce_once(zxz, w)
     wit.validate(zxz)
     assert wit.start == 0
     assert wit.top_length == 4
@@ -111,7 +101,7 @@ def test_strip_prefers_leftmost_start(zxz):
 
 def test_strip_prefers_shortest_at_one_start(zxz):
     w = parse_word(zxz, "(0,1) (1,1) (1,0) (0,1)")
-    _, wit = _strip(zxz, w)
+    _, wit = reference_strip_reduce_once(zxz, w)
     assert wit.start == 0
     assert wit.top_length == 3
 
@@ -131,7 +121,7 @@ def test_strongly_reduce_hits_the_metric(zxz):
         else:
             assert len(red) == d
         assert apply_trace(zxz, w, trace) == red
-        assert not _has_defined_pair(zxz, red)
+        assert reference_reduce_once(zxz, red) is None
         assert find_strip(zxz, red) is None
 
 

@@ -142,10 +142,6 @@ def make_q8() -> str:
     def name(sign, u):
         return u if sign == "+" else "m" + u
 
-    names = []
-    for u in units:
-        names.append(name("+", u))
-        names.append(name("-", u)) if u != "1" else names.append("m1")
     # order: 1 m1 i mi j mj k mk
     names = ["1", "m1", "i", "mi", "j", "mj", "k", "mk"]
 

@@ -1,7 +1,7 @@
 """Regenerate the golden CLI outputs under tests/golden/.
 
 Run after any deliberate output change, then review the diff before
-committing.  The cases are tests/test_cli.py's GOLDEN_CASES: each pins
+committing.  The cases are tests/conftest.py's GOLDEN_CASES: each pins
 stdout bytes and the exit code of one invocation, and the tests replay
 them.
 """
@@ -12,7 +12,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from test_cli import GOLDEN, GOLDEN_CASES, _run  # noqa: E402
+from conftest import GOLDEN, GOLDEN_CASES, _run  # noqa: E402
 
 
 def main() -> int:
