@@ -208,10 +208,7 @@ def cmd_comb(args) -> int:
 def cmd_ball(args) -> int:
     p = _load_valid(args.pree)
     method = "dehn" if axioms_hold(p) else "oracle"
-    try:
-        ball = cayley_ball(p, args.radius, method=method)
-    except PreeError as exc:
-        raise _fail(1, str(exc))
+    ball = cayley_ball(p, args.radius, method=method)
     rows = ball.render_rows()
     if args.out:
         _write(args.out, "\n".join(rows) + "\n")

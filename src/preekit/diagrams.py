@@ -199,10 +199,17 @@ def attach_triangle(
     factors: the sides at pos and pos+1, reading x and y with x*y
     defined, are covered together; the boundary shrinks by one.
     """
+    return _attach(d, [(pos, factors)])
+
+
+def _attach(d: Diagram, moves: list) -> Diagram:
+    """Apply the (pos, factors) moves of attach_triangle in turn to the
+    raw parts of d, and build one Diagram, which validates itself."""
+    p = d.pree
     parts = (d.n_vertices, d.edges, d.faces, d.boundary)
-    if factors is not None:
-        return Diagram(d.pree, *_split(d.pree, parts, pos, factors[0], factors[1]))
-    return Diagram(d.pree, *_fold(d.pree, parts, pos))
+    for pos, factors in moves:
+        parts = _fold(p, parts, pos) if factors is None else _split(p, parts, pos, *factors)
+    return Diagram(p, *parts)
 
 
 # _split and _fold map the raw parts (n_vertices, edges, faces, boundary)
@@ -286,83 +293,45 @@ def _rebuild(
 
 
 def diagram_from_strip(p: Pree, witness: StripWitness) -> Diagram:
-    """Strip gallery as a diagram: boundary reads top then inverse output."""
-    a = witness.top
-    n = len(a)
-    d = witness.diagonals
-    c = witness.output
-    inv = p.inv
-    g = [0] * n  # g[i] defined for 2..n-1
+    """Strip gallery as a diagram: boundary reads top then inverse output.
+
+    The first triangle reads a_1 d_1 c_1^-1.  Each interior top letter a_i
+    then splits the side d_{i-1} into a_i g_i, and g_i into d_i c_i^-1, or
+    into a_n c_{n-1}^-1 for the last one (see StripWitness).
+    """
+    a, d, c = witness.top, witness.diagonals, witness.output
+    n, inv = len(a), p.inv
+    # c_1 is read off the first triangle, so it is checked here
+    g = [p.table[inv[a[i - 1]]][d[i - 2]] for i in range(2, n)]
+    if UNDEF in g or p.table[a[0]][d[0]] != c[0]:
+        raise DiagramError("strip witness does not hold in the table")
+    moves = []
     for i in range(2, n):
-        g[i] = p.table[inv[a[i - 1]]][d[i - 2]]
-        if g[i] == UNDEF:
-            raise DiagramError("strip witness does not hold in the table")
-    # vertices: t0..tn are 0..n, b1..b_{n-2} are n+1..2n-2
-    t = list(range(n + 1))
-    b = [0] + [n + i for i in range(1, n - 1)] + [n]
-    edges = []
-    top = []
-    for i in range(1, n + 1):
-        top.append(len(edges))
-        edges.append((t[i - 1], t[i], a[i - 1]))
-    bot = []
-    for i in range(1, n):
-        bot.append(len(edges))
-        edges.append((b[i - 1], b[i], c[i - 1]))
-    dia = {}
-    for i in range(1, n - 1):
-        dia[i] = len(edges)
-        edges.append((t[i], b[i], d[i - 1]))
-    ged = {}
-    for i in range(2, n):
-        ged[i] = len(edges)
-        edges.append((t[i], b[i - 1], g[i]))
-    faces = [((top[0], False), (bot[0], True), (dia[1], False))]
-    for i in range(2, n):
-        faces.append(((top[i - 1], False), (dia[i - 1], True), (ged[i], False)))
-    for i in range(2, n - 1):
-        faces.append(((ged[i], True), (bot[i - 1], True), (dia[i], False)))
-    faces.append(((ged[n - 1], True), (bot[n - 2], True), (top[n - 1], False)))
-    boundary = [(e, True) for e in top] + [(e, False) for e in reversed(bot)]
-    return Diagram(p, 2 * n - 1, tuple(edges), tuple(faces), tuple(boundary))
+        moves.append((i - 1, (a[i - 1], g[i - 2])))
+        moves.append((i, (d[i - 1] if i < n - 1 else a[n - 1], inv[c[i - 1]])))
+    return _attach(single_triangle(p, a[0], d[0]), moves)
 
 
 def fan_diagram(p: Pree, spokes: list[int]) -> Diagram:
     """Hub of the given degree: spoke labels read outward from vertex 0.
 
     Consecutive spokes must have a defined quotient; the rim closes up
-    and the hub becomes an internal vertex of degree len(spokes).
+    and the hub becomes an internal vertex of degree len(spokes).  The
+    first triangle reads s_1 q_0^-1 s_0^-1 from the hub; each next spoke
+    splits the side s_i into s_{i+1} q_i^-1, and a fold of s_0^-1 s_{n-1}
+    closes the rim, which reads q_{n-1}^-1 ... q_0^-1 from its vertex 0.
     """
-    n = len(spokes)
+    n, inv = len(spokes), p.inv
     if n < 3:
         raise DiagramError("need at least 3 spokes")
     quot = []
     for i in range(n):
-        q = p.table[p.inv[spokes[i]]][spokes[(i + 1) % n]]
+        q = p.table[inv[spokes[i]]][spokes[(i + 1) % n]]
         if q == UNDEF:
             raise DiagramError("spoke quotient %d is not defined" % i)
         quot.append(q)
-    # vertices: hub 0, rim 1..n
-    edges = []
-    spoke_eid = []
-    for i in range(n):
-        spoke_eid.append(len(edges))
-        edges.append((0, 1 + i, spokes[i]))
-    rim_eid = []
-    for i in range(n):
-        rim_eid.append(len(edges))
-        edges.append((1 + i, 1 + (i + 1) % n, quot[i]))
-    faces = []
-    for i in range(n):
-        faces.append(
-            (
-                (spoke_eid[i], True),
-                (rim_eid[i], True),
-                (spoke_eid[(i + 1) % n], False),
-            )
-        )
-    boundary = [(rim_eid[(n - 1 - k)], False) for k in range(n)]
-    return Diagram(p, n + 1, tuple(edges), tuple(faces), tuple(boundary))
+    moves = [(0, (spokes[i + 1], inv[quot[i]])) for i in range(1, n - 1)] + [(n, None)]
+    return _attach(single_triangle(p, spokes[1], inv[quot[0]]), moves)
 
 
 def reduce_internal_vertex(p: Pree, d: Diagram, v: int) -> Diagram:

@@ -14,7 +14,14 @@ from collections import deque
 from typing import Optional
 
 from preekit import group
-from preekit.diagrams import Diagram, DiagramStats, _triangle_reading, attach_triangle, single_triangle
+from preekit.diagrams import (
+    Diagram,
+    DiagramError,
+    DiagramStats,
+    _triangle_reading,
+    attach_triangle,
+    single_triangle,
+)
 from preekit.fsa import PAD, FiniteAutomaton, build_combing_table, pair_alphabet
 from preekit.group import (
     BALL_ELEMENT_CAP,
@@ -570,6 +577,86 @@ def reference_canonical(p: Pree, w: Word) -> Word:
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def reference_diagram_from_strip(p: Pree, witness: StripWitness) -> Diagram:
+    """Strip gallery as a diagram: boundary reads top then inverse output."""
+    a = witness.top
+    n = len(a)
+    d = witness.diagonals
+    c = witness.output
+    inv = p.inv
+    g = [0] * n  # g[i] defined for 2..n-1
+    for i in range(2, n):
+        g[i] = p.table[inv[a[i - 1]]][d[i - 2]]
+        if g[i] == UNDEF:
+            raise DiagramError("strip witness does not hold in the table")
+    # vertices: t0..tn are 0..n, b1..b_{n-2} are n+1..2n-2
+    t = list(range(n + 1))
+    b = [0] + [n + i for i in range(1, n - 1)] + [n]
+    edges = []
+    top = []
+    for i in range(1, n + 1):
+        top.append(len(edges))
+        edges.append((t[i - 1], t[i], a[i - 1]))
+    bot = []
+    for i in range(1, n):
+        bot.append(len(edges))
+        edges.append((b[i - 1], b[i], c[i - 1]))
+    dia = {}
+    for i in range(1, n - 1):
+        dia[i] = len(edges)
+        edges.append((t[i], b[i], d[i - 1]))
+    ged = {}
+    for i in range(2, n):
+        ged[i] = len(edges)
+        edges.append((t[i], b[i - 1], g[i]))
+    faces = [((top[0], False), (bot[0], True), (dia[1], False))]
+    for i in range(2, n):
+        faces.append(((top[i - 1], False), (dia[i - 1], True), (ged[i], False)))
+    for i in range(2, n - 1):
+        faces.append(((ged[i], True), (bot[i - 1], True), (dia[i], False)))
+    faces.append(((ged[n - 1], True), (bot[n - 2], True), (top[n - 1], False)))
+    boundary = [(e, True) for e in top] + [(e, False) for e in reversed(bot)]
+    return Diagram(p, 2 * n - 1, tuple(edges), tuple(faces), tuple(boundary))
+
+
+def reference_fan_diagram(p: Pree, spokes: list[int]) -> Diagram:
+    """Hub of the given degree: spoke labels read outward from vertex 0.
+
+    Consecutive spokes must have a defined quotient; the rim closes up
+    and the hub becomes an internal vertex of degree len(spokes).
+    """
+    n = len(spokes)
+    if n < 3:
+        raise DiagramError("need at least 3 spokes")
+    quot = []
+    for i in range(n):
+        q = p.table[p.inv[spokes[i]]][spokes[(i + 1) % n]]
+        if q == UNDEF:
+            raise DiagramError("spoke quotient %d is not defined" % i)
+        quot.append(q)
+    # vertices: hub 0, rim 1..n
+    edges = []
+    spoke_eid = []
+    for i in range(n):
+        spoke_eid.append(len(edges))
+        edges.append((0, 1 + i, spokes[i]))
+    rim_eid = []
+    for i in range(n):
+        rim_eid.append(len(edges))
+        edges.append((1 + i, 1 + (i + 1) % n, quot[i]))
+    faces = []
+    for i in range(n):
+        faces.append(
+            (
+                (spoke_eid[i], True),
+                (rim_eid[i], True),
+                (spoke_eid[(i + 1) % n], False),
+            )
+        )
+    boundary = [(rim_eid[(n - 1 - k)], False) for k in range(n)]
+    return Diagram(p, n + 1, tuple(edges), tuple(faces), tuple(boundary))
 
 
 def reference_find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagram]:

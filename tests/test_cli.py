@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import GOLDEN, GOLDEN_CASES, _run, fixture_path
+from preekit import group
 
 
 @pytest.mark.parametrize("name,argv,want", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
@@ -157,6 +158,14 @@ def test_ball_method_switches_to_oracle():
     code, out, _ = _run(["ball", fixture_path("cycle4"), "-r", "1"])
     assert code == 0
     assert "method: oracle" in out
+
+
+def test_ball_refusals_exit_2(monkeypatch):
+    code, out, err = _run(["ball", fixture_path("cycle4"), "-r", "2"])
+    assert (code, out, err) == (2, "", "error: oracle undecided while building ball\n")
+    monkeypatch.setattr(group, "BALL_ELEMENT_CAP", 5)
+    code, out, err = _run(["ball", fixture_path("zxz"), "-r", "2"])
+    assert (code, out, err) == (2, "", "error: ball exceeds element cap\n")
 
 
 def test_ball_out_file(tmp_path):

@@ -5,11 +5,20 @@ boundary words (``oracles.forward_min_area``) that shares no code with
 the production A* search.
 """
 
+import itertools
 import random
 
 import pytest
 
-from oracles import forward_min_area, reference_canonical, reference_diagram_stats, zxz_vector
+from conftest import random_words, solver_tables
+from oracles import (
+    forward_min_area,
+    reference_canonical,
+    reference_diagram_from_strip,
+    reference_diagram_stats,
+    reference_fan_diagram,
+    zxz_vector,
+)
 from preekit.diagrams import (
     DiagramError,
     _fold,
@@ -25,7 +34,7 @@ from preekit.diagrams import (
     reduce_internal_vertex,
     single_triangle,
 )
-from preekit.words import find_strip, inverse_word, parse_word
+from preekit.words import StripWitness, find_strip, inverse_word, parse_word
 
 
 def _tri(zxz):
@@ -145,6 +154,98 @@ def test_fan_diagram_hexagon(zxz):
 def test_fan_needs_three_spokes(zxz):
     with pytest.raises(DiagramError):
         fan_diagram(zxz, [zxz.id_of("(1,0)")] * 2)
+
+
+def _summary(d):
+    """What a diagram shows apart from its numbering."""
+    p, deg = d.pree, d.degrees()
+    faces = sorted(reference_canonical(p, tuple(d.side_label(s) for s in f)) for f in d.faces)
+    return (
+        d.boundary_word(),
+        d.area,
+        faces,
+        [deg[v] for v in d.boundary_vertices()],
+        diagram_stats(d),
+    )
+
+
+def test_strip_diagrams_match_the_reference():
+    count = 0
+    for name, p in solver_tables():
+        for w in random_words(p, 61, 150, 11):
+            wit = find_strip(p, w)
+            if wit is None:
+                continue
+            count += 1
+            d = diagram_from_strip(p, wit)
+            assert _summary(d) == _summary(reference_diagram_from_strip(p, wit)), (name, w)
+            assert d.boundary_word() == wit.top + inverse_word(p, wit.output)
+    assert count > 1500
+
+
+def _spoke_tuples(zxz, s3, z6, q8):
+    """Every tuple of nonidentity spokes, of degree 3 to 5 on zxz and 3 to 4
+    on the full tables."""
+    for p, degrees in ((zxz, (3, 4, 5)), (s3, (3, 4)), (z6, (3, 4)), (q8, (3, 4))):
+        for n in degrees:
+            for spokes in itertools.product(p.nonidentity(), repeat=n):
+                yield p, list(spokes)
+
+
+def _attempt(build, p, spokes):
+    """The fan, or the message it was refused with."""
+    try:
+        return build(p, spokes), None
+    except DiagramError as exc:
+        return None, str(exc)
+
+
+def test_fans_match_the_reference(zxz, s3, z6, q8):
+    built = refused = 0
+    for p, spokes in _spoke_tuples(zxz, s3, z6, q8):
+        d, why = _attempt(fan_diagram, p, spokes)
+        ref, ref_why = _attempt(reference_fan_diagram, p, spokes)
+        assert why == ref_why, spokes
+        if d is None:
+            refused += 1
+            continue
+        built += 1
+        assert _summary(d) == _summary(ref), spokes
+        assert d.internal_vertices() == ref.internal_vertices() == [0]
+        assert d.degrees()[0] == len(spokes)
+    assert (built, refused) == (4706, 8826)
+
+
+def test_reduce_internal_vertex_on_every_small_fan(zxz, s3, z6, q8):
+    for p, spokes in _spoke_tuples(zxz, s3, z6, q8):
+        d, _ = _attempt(fan_diagram, p, spokes)
+        if d is None:
+            continue
+        d2 = reduce_internal_vertex(p, d, 0)
+        assert d2.area == d.area - 2
+        assert d2.n_vertices == d.n_vertices - 1
+        assert reference_canonical(p, d2.boundary_word()) == reference_canonical(p, d.boundary_word())
+        assert curvature_check(d2)[2]
+
+
+def test_tampered_strip_witness_is_refused():
+    """Each output letter changed to each other letter, c_1 included, which
+    the move-built diagram reads off its first triangle."""
+    tampered = 0
+    for _, p in solver_tables():
+        wits = [find_strip(p, w) for w in random_words(p, 67, 20, 11)]
+        for wit in [x for x in wits if x is not None][:5]:
+            for k, c in enumerate(wit.output):
+                for x in p.elements():
+                    if x == c:
+                        continue
+                    out = wit.output[:k] + (x,) + wit.output[k + 1 :]
+                    bad = StripWitness(wit.start, wit.top, wit.diagonals, out)
+                    tampered += 1
+                    for build in (diagram_from_strip, reference_diagram_from_strip):
+                        with pytest.raises(DiagramError):
+                            build(p, bad)
+    assert tampered > 800
 
 
 def test_reduce_internal_degree_four_vertex(zxz):
