@@ -15,11 +15,10 @@ reading the stored label, (e, False) runs v -> u reading its inverse.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
-from .pree import UNDEF, Pree, PreeError
+from .pree import UNDEF, Pree, PreeError, Record
 from .words import Word, StripWitness, inverse_word, render_word
 from .group import abelian_obstruction
 
@@ -411,17 +410,17 @@ def reduce_internal_vertex(p: Pree, d: Diagram, v: int) -> Diagram:
     )
 
 
-@dataclass
-class DiagramStats:
+class DiagramStats(Record):
     """Boundary degree census and gallery count."""
 
-    area: int
-    boundary_length: int
-    delta2: int
-    delta3: int
-    delta5: int
-    internal_degrees: tuple[int, ...]
-    galleries: int
+    __slots__ = _fields = (
+        "area", "boundary_length", "delta2", "delta3", "delta5", "internal_degrees", "galleries",
+    )
+
+    def __init__(self, area: int, boundary_length: int, delta2: int, delta3: int, delta5: int,
+                 internal_degrees: tuple[int, ...], galleries: int):
+        self.area, self.boundary_length, self.delta2, self.delta3 = area, boundary_length, delta2, delta3
+        self.delta5, self.internal_degrees, self.galleries = delta5, internal_degrees, galleries
 
     def render(self) -> str:
         return (

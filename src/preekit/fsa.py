@@ -15,10 +15,9 @@ the shorter tape and renders as "$".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .pree import UNDEF, Pree
+from .pree import UNDEF, Pree, Record
 from .words import geodesic_step, strip_masks
 # equals_identity is not called here; it stays importable as an fsa attribute
 from .group import (  # noqa: F401
@@ -334,8 +333,7 @@ def geodesic_acceptor(p: Pree) -> FiniteAutomaton:
     return FiniteAutomaton(len(order), p.elements(), trans, [0], range(len(order))).minimize()
 
 
-@dataclass
-class CombingTable:
+class CombingTable(Record):
     """Per-triple predicate driving the combing language.
 
     forbidden holds the triples (x, y, z) banned at odd block starts.
@@ -343,8 +341,10 @@ class CombingTable:
     abc with bc undefined and abc equal to xy in the group.
     """
 
-    sprime: dict[tuple[int, int], frozenset]
-    forbidden: frozenset
+    __slots__ = _fields = ("sprime", "forbidden")
+
+    def __init__(self, sprime: dict[tuple[int, int], frozenset], forbidden: frozenset):
+        self.sprime, self.forbidden = sprime, forbidden
 
 
 def build_combing_table(p: Pree) -> CombingTable:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 # check_axiom is no longer called here; it stays importable as group.check_axiom
-from .pree import UNDEF, Pree, PreeError, VerificationReport, check_axiom  # noqa: F401
+from .pree import UNDEF, Pree, PreeError, Record, VerificationReport, check_axiom  # noqa: F401
 from .words import (
     Word,
     contract_push,
@@ -187,8 +186,7 @@ def equals_identity(p: Pree, w: Word) -> bool:
     return reduced == (p.identity,)
 
 
-@dataclass
-class CayleyBall:
+class CayleyBall(Record):
     """Ball of a given radius with representatives and step tables.
 
     ``reps[e]`` is a shortest word for element ``e`` (the identity is the
@@ -197,12 +195,11 @@ class CayleyBall:
     when the result was not identified inside the ball.
     """
 
-    pree: Pree
-    radius: int
-    reps: tuple[Word, ...]
-    dist: tuple[int, ...]
-    step: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("pree", "radius", "reps", "dist", "step", "left")
+
+    def __init__(self, pree: Pree, radius: int, reps: tuple[Word, ...], dist: tuple[int, ...],
+                 step: tuple[tuple[int, ...], ...], left: tuple[tuple[int, ...], ...]):
+        self.pree, self.radius, self.reps, self.dist, self.step, self.left = pree, radius, reps, dist, step, left
 
     @property
     def size(self) -> int:
@@ -440,17 +437,17 @@ def verify_short_identities(p: Pree) -> VerificationReport:
     return r
 
 
-@dataclass
-class FellowTravelerReport:
+class FellowTravelerReport(Record):
     """Observed synchronous separation over all compared word pairs."""
 
-    target: int
-    max_separation: int
-    worst_u: Word
-    worst_v: Word
-    words_checked: int
-    pairs_checked: int
-    exceeded_arena: bool = False
+    __slots__ = _fields = (
+        "target", "max_separation", "worst_u", "worst_v", "words_checked", "pairs_checked", "exceeded_arena",
+    )
+
+    def __init__(self, target: int, max_separation: int, worst_u: Word, worst_v: Word, words_checked: int,
+                 pairs_checked: int, exceeded_arena: bool = False):
+        self.target, self.max_separation, self.worst_u, self.worst_v = target, max_separation, worst_u, worst_v
+        self.words_checked, self.pairs_checked, self.exceeded_arena = words_checked, pairs_checked, exceeded_arena
 
     @property
     def ok(self) -> bool:

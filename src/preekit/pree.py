@@ -17,7 +17,6 @@ combines validity with both axioms into the word solver's precondition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 UNDEF = -1
@@ -29,8 +28,47 @@ class PreeError(Exception):
     """Malformed pree input or misuse of a pree operation."""
 
 
-@dataclass(frozen=True)
-class Pree:
+_set = object.__setattr__  # how a frozen record's __init__ sets its slots
+
+
+class Record:
+    """Base of the record classes: value equality and a ``Name(field=value, ...)``
+    repr over ``_fields``.  A subclass names its attributes in ``__slots__`` and
+    sets every one in ``__init__``.  A record that may change does not hash."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+class FrozenRecord(Record):
+    """A record that refuses assignment and hashes by value."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):  # pickle and copy through __init__, which takes the fields in order
+        return type(self), self._values()
+
+
+class Pree(FrozenRecord):
     """Immutable partial multiplication table over dense integer ids.
 
     ``names[i]`` is the display token of element ``i``; ``identity`` is the
@@ -38,13 +76,16 @@ class Pree:
     tuple; ``table[a][b]`` is the product id or ``UNDEF``.
     """
 
-    names: tuple[str, ...]
-    identity: int
-    inv: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
-    # Declared, not set later: a new attribute written through __dict__ makes CPython
-    # 3.11 drop the inline attribute values, and later table/inv reads get slower.
-    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("names", "identity", "inv", "table")
+    __slots__ = _fields + ("_derived", "__weakref__")
+
+    def __init__(self, names: tuple[str, ...], identity: int, inv: tuple[int, ...],
+                 table: tuple[tuple[int, ...], ...]):
+        _set(self, "names", names)
+        _set(self, "identity", identity)
+        _set(self, "inv", inv)
+        _set(self, "table", table)
+        _set(self, "_derived", {})
 
     @property
     def size(self) -> int:
@@ -135,13 +176,15 @@ class Pree:
                     yield a, b, row[b]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of a checker: problems fail it, notes are informational."""
 
-    name: str
-    problems: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = _fields = ("name", "problems", "notes")
+
+    def __init__(self, name: str, problems: Optional[list[str]] = None, notes: Optional[list[str]] = None):
+        self.name = name
+        self.problems = [] if problems is None else problems
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
@@ -162,12 +205,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class AxiomWitness:
+class AxiomWitness(FrozenRecord):
     """A failing short cycle: no consecutive quotient product is defined."""
 
-    cycle: tuple[int, ...]
-    quotients: tuple[int, ...]
+    __slots__ = _fields = ("cycle", "quotients")
+
+    def __init__(self, cycle: tuple[int, ...], quotients: tuple[int, ...]):
+        _set(self, "cycle", cycle)
+        _set(self, "quotients", quotients)
 
     def render(self, p: Pree) -> str:
         cyc = " ".join(p.name(a) for a in self.cycle)

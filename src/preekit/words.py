@@ -12,10 +12,9 @@ identity word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .pree import UNDEF, Pree, PreeError
+from .pree import UNDEF, FrozenRecord, Pree, PreeError, _set
 
 Word = tuple[int, ...]
 
@@ -65,8 +64,7 @@ def contract_push(table, stack: Word, x: int) -> Word:
     return stack + (x,)
 
 
-@dataclass(frozen=True)
-class StripWitness:
+class StripWitness(FrozenRecord):
     """Certificate that letters ``top`` rewrite to ``output``.
 
     With top = a_1..a_n (1-indexed) and diagonals d_1..d_{n-2}:
@@ -78,10 +76,13 @@ class StripWitness:
     every product being defined in the pree.
     """
 
-    start: int
-    top: tuple[int, ...]
-    diagonals: tuple[int, ...]
-    output: tuple[int, ...]
+    __slots__ = _fields = ("start", "top", "diagonals", "output")
+
+    def __init__(self, start: int, top: tuple[int, ...], diagonals: tuple[int, ...], output: tuple[int, ...]):
+        _set(self, "start", start)
+        _set(self, "top", top)
+        _set(self, "diagonals", diagonals)
+        _set(self, "output", output)
 
     @property
     def top_length(self) -> int:
@@ -197,16 +198,20 @@ def find_strip(p: Pree, w: Word) -> Optional[StripWitness]:
     return None
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    kind: str  # "simple" | "strip"
-    position: int
-    witness: object = None
+class TraceStep(FrozenRecord):
+    __slots__ = _fields = ("kind", "position", "witness")
+
+    def __init__(self, kind: str, position: int, witness: object = None):
+        _set(self, "kind", kind)  # "simple" | "strip"
+        _set(self, "position", position)
+        _set(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple[TraceStep, ...]
+class ReductionTrace(FrozenRecord):
+    __slots__ = _fields = ("steps",)
+
+    def __init__(self, steps: tuple[TraceStep, ...]):
+        _set(self, "steps", steps)
 
 
 def apply_trace(p: Pree, w: Word, trace: ReductionTrace) -> Word:

@@ -5,9 +5,9 @@ against stack cancellation, the full tables against direct folding, and
 the faster searches against the code they replaced (``oracles.py``).
 """
 
-import dataclasses
 import gc
 import itertools
+import pickle
 import random
 import weakref
 
@@ -37,6 +37,7 @@ from oracles import (
 from preekit import cli, group, pree
 from preekit.fsa import FiniteAutomaton, combing_acceptor, word_difference_machine
 from preekit.group import (
+    FellowTravelerReport,
     abelian_obstruction,
     axioms_hold,
     bfs_identity_oracle,
@@ -49,8 +50,8 @@ from preekit.group import (
     verify_short_identities,
     verify_surjectivity,
 )
-from preekit.pree import UNDEF, PreeError, check_axiom
-from preekit.words import parse_word
+from preekit.pree import UNDEF, AxiomWitness, Pree, PreeError, check_axiom
+from preekit.words import ReductionTrace, StripWitness, parse_word, strongly_reduce
 
 
 ALL_FIXTURES = ("zxz", "s3", "z6", "q8", "taxicab", "cycle4", "cycle5", "broken_closure")
@@ -122,6 +123,33 @@ def test_axiom_witnesses_stay_out_of_equality():
     abelian_obstruction(a)
     assert a.factorizations
     assert a == b and (hash(a), repr(a)) == before == (hash(b), repr(b))
+
+
+def test_records_are_values():
+    """Tables refuse assignment and pickle; witnesses and traces compare and
+    hash by value, balls compare by value, and each repr names its fields."""
+    p, q = load_fixture("zxz"), load_fixture("zxz")
+    for field in ("names", "identity", "inv", "table", "_derived"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, None)
+    cayley_ball(p, 1)
+    assert pickle.loads(pickle.dumps(p)) == p and not pickle.loads(pickle.dumps(p))._derived
+    w = parse_word(p, "(0,1) (1,1) (1,1) (1,0)")
+    (_, trace), (_, twin) = strongly_reduce(p, w), strongly_reduce(q, w)
+    step = next(s for s in trace.steps if s.kind == "strip")
+    wit = step.witness
+    axiom = check_axiom(load_fixture("cycle4"), 4)
+    pairs = [
+        (trace, twin),
+        (step, next(s for s in twin.steps if s.kind == "strip")),
+        (wit, StripWitness(wit.start, wit.top, wit.diagonals, wit.output)),
+        (axiom, AxiomWitness(axiom.cycle, axiom.quotients)),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert trace != ReductionTrace(trace.steps[1:]) and wit != step
+    assert repr(step).startswith("TraceStep(kind='strip', position=%d, witness=StripWitness(start=" % step.position)
+    assert cayley_ball(p, 2) == cayley_ball(q, 2) != cayley_ball(q, 1)
 
 
 def test_tables_are_freed_after_use():
@@ -361,11 +389,11 @@ def test_every_snapshot_equals_a_fresh_build(monkeypatch):
     for name, p, radii in _ball_tables():
         want = {r: build_ball(p, r, "dehn") for r in radii}
         reduced.clear()
-        cayley_ball(dataclasses.replace(p), max(radii))
+        cayley_ball(Pree(p.names, p.identity, p.inv, p.table), max(radii))
         once = len(reduced)
         orders = [list(reversed(radii))] + [rng.sample(radii, len(radii)) for _ in range(2)]
         for order in orders:
-            q = dataclasses.replace(p)  # an equal table with an empty store
+            q = Pree(p.names, p.identity, p.inv, p.table)  # an equal table with an empty store
             reduced.clear()
             for r in order:
                 assert cayley_ball(q, r) == want[r], (name, order, r)
@@ -604,7 +632,11 @@ def test_fellow_ball_is_bounded_by_the_word_length():
     p = load_fixture("taxicab")
     lang = combing_acceptor(p)
     far = fellow_traveler_check(p, lang, 2, 30)
-    assert far == dataclasses.replace(fellow_traveler_check(p, lang, 2, 3), target=30)
+    near = fellow_traveler_check(p, lang, 2, 3)
+    assert far == FellowTravelerReport(
+        30, near.max_separation, near.worst_u, near.worst_v, near.words_checked, near.pairs_checked,
+        near.exceeded_arena,
+    )
     assert isinstance(word_difference_machine(p, lang, 30, 2), FiniteAutomaton)
     radii = [key[1] for key in p._derived if key[0] == "cayley_ball"]
     assert max(radii) == 5

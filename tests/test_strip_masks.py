@@ -70,7 +70,7 @@ def test_traces_and_geodesic_verdicts_match_the_reference(name, p, monkeypatch):
 @TABLES
 def test_reductions_match_the_rescanning_reducer(name, p):
     """Same reduced word and same steps, on short words and on words up
-    to 256 letters; the dataclasses compare each step's kind, position
+    to 256 letters; the records compare each step's kind, position
     and every witness field."""
     for w in random_words(p, 3, 100, 20) + random_words(p, 4, 10, 256):
         assert strongly_reduce(p, w) == reference_strongly_reduce(p, w), (name, w)
