@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from .pree import Pree, PreeError, load_pree
 from .words import (
@@ -161,7 +160,7 @@ def cmd_reduce(args) -> int:
 def cmd_solve(args) -> int:
     p = _load_valid(args.pree)
     w = _word(p, args.word)
-    oracle_verdict: Optional[str] = None
+    oracle_verdict: str | None = None
     if args.oracle:
         got = bfs_identity_oracle(p, w, length_bound=args.bound)
         oracle_verdict = "yes" if got is True else ("no" if got is False else "inconclusive")
@@ -309,7 +308,7 @@ def cmd_export_fsa(args) -> int:
     return 0
 
 
-def _verify_row(name: str, rep) -> tuple[str, Optional[bool], str]:
+def _verify_row(name: str, rep) -> tuple[str, bool | None, str]:
     """A verify row for a report: its verdict, and its first problem when it fails."""
     return name, rep.ok, "" if rep.ok else rep.problems[0]
 
@@ -436,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

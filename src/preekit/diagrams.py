@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from random import Random
-from typing import Optional
 
 from .pree import UNDEF, Pree, PreeError, Record
 from .words import Word, StripWitness, inverse_word, render_word
@@ -189,7 +188,7 @@ def single_triangle(p: Pree, a: int, b: int) -> Diagram:
 
 
 def attach_triangle(
-    d: Diagram, pos: int, factors: Optional[tuple[int, int]] = None
+    d: Diagram, pos: int, factors: tuple[int, int] | None = None
 ) -> Diagram:
     """Attach one triangle along the boundary.
 
@@ -535,7 +534,7 @@ def _diagram_moves(p: Pree) -> tuple[dict, dict, dict, set]:
     return p.derived("diagram_moves", build)
 
 
-def _triangle_reading(p: Pree, rep: Word) -> Optional[Word]:
+def _triangle_reading(p: Pree, rep: Word) -> Word | None:
     if len(rep) != 3:
         return None
     for t in (rep, inverse_word(p, rep)):
@@ -560,7 +559,7 @@ def _first_reading(inv: dict[int, int], fwd: str, exact: str) -> tuple[int, int]
     return (n - 1 - r, -1) if r >= 0 and (s < 0 or n - 1 - r < s) else (s, 1)
 
 
-def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagram]:
+def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Diagram | None:
     """Smallest diagram whose boundary reads w up to rotation/inversion.
 
     Searches the move graph on cyclic boundary words: contracting an

@@ -15,14 +15,15 @@ the shorter tape and renders as "$".
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Union
-
-from .pree import UNDEF, Pree, Record
+from .pree import TYPE_CHECKING, UNDEF, Pree, Record
 from .words import geodesic_step, strip_masks
 # equals_identity is not called here; it stays importable as an fsa attribute
 from .group import (  # noqa: F401
     FellowTravelerReport, cayley_ball, equals_identity, fellow_ball, fellow_traveler_check,
 )
+
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable
 
 PAD = -2
 
@@ -401,7 +402,7 @@ def combing_acceptor(p: Pree) -> FiniteAutomaton:
 
 def word_difference_machine(
     p: Pree, language: FiniteAutomaton, K: int, R: int
-) -> Union[FiniteAutomaton, FellowTravelerReport]:
+) -> FiniteAutomaton | FellowTravelerReport:
     """Synchronous pair machine with word differences as ball elements.
 
     First runs ``fellow_traveler_check(p, language, R, K)``; a failing

@@ -13,17 +13,20 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Iterator, Optional
 
 # check_axiom is no longer called here; it stays importable as group.check_axiom
-from .pree import UNDEF, Pree, PreeError, Record, VerificationReport, check_axiom  # noqa: F401
+from .pree import TYPE_CHECKING, UNDEF, Pree, PreeError, Record, VerificationReport, check_axiom  # noqa: F401
 from .words import (
     Word,
     contract_push,
     inverse_word,
+    irreducible_form,
     render_word,
     strongly_reduce,
 )
+
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 # limits of the bounded searches: words the identity oracle visits, elements of a ball
 ORACLE_MAX_STATES = 500_000
@@ -126,7 +129,7 @@ def abelian_obstruction(p: Pree) -> AbelianObstruction:
     return p.derived("abelian_obstruction", lambda: AbelianObstruction(p))
 
 
-def bfs_identity_oracle(p: Pree, w: Word, length_bound: int = 8) -> Optional[bool]:
+def bfs_identity_oracle(p: Pree, w: Word, length_bound: int = 8) -> bool | None:
     """Decide whether ``w`` represents the identity, independently.
 
     Neighbor moves replace an adjacent pair by its product or a letter by
@@ -174,16 +177,18 @@ def bfs_identity_oracle(p: Pree, w: Word, length_bound: int = 8) -> Optional[boo
 
 
 def equals_identity(p: Pree, w: Word) -> bool:
-    """Dehn-style decision: reduce strongly, compare with the word 1.
+    """Dehn-style decision: whether ``irreducible_form`` is the word 1.
 
+    Under the axioms a strongly irreducible word is geodesic unless it is
+    the word 1, so any strip serves: the untraced one-pass reduction
+    answers, and ``strongly_reduce``'s leftmost search is not needed.
     Refuses unless ``Pree.solver_problem`` is None; bfs_identity_oracle
     needs no precondition.
     """
     if len(w) == 0:
         raise PreeError("empty word")
     require_solver(p)
-    reduced, _ = strongly_reduce(p, w)
-    return reduced == (p.identity,)
+    return irreducible_form(p, w) == (p.identity,)
 
 
 class CayleyBall(Record):
@@ -205,7 +210,7 @@ class CayleyBall(Record):
     def size(self) -> int:
         return len(self.reps)
 
-    def element_of_word(self, w: Word) -> Optional[int]:
+    def element_of_word(self, w: Word) -> int | None:
         e = 0
         for x in w:
             e = self.step[e][x]
@@ -292,7 +297,7 @@ def _grown(p: Pree, radius: int, method: str) -> _Build:
     gens = p.nonidentity()
     reps, dist, buckets, by_reduced = b.reps, b.dist, b.buckets, b.by_reduced
 
-    def identify(w: Word) -> tuple[Optional[int], Word]:
+    def identify(w: Word) -> tuple[int | None, Word]:
         rw, _ = strongly_reduce(p, w)
         hit = by_reduced.get(rw)
         if hit is not None:

@@ -17,11 +17,15 @@ combines validity with both axioms into the word solver's precondition.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+# names for annotations only: typing costs a cold process several milliseconds
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator, Sequence
+    from typing import TypeVar
+
+    T = TypeVar("T")
 
 UNDEF = -1
-
-T = TypeVar("T")
 
 
 class PreeError(Exception):
@@ -91,7 +95,7 @@ class Pree(FrozenRecord):
     def size(self) -> int:
         return len(self.names)
 
-    def product(self, a: int, b: int) -> Optional[int]:
+    def product(self, a: int, b: int) -> int | None:
         """Table lookup: the id of ``a*b``, or None when undefined."""
         c = self.table[a][b]
         return None if c == UNDEF else c
@@ -124,7 +128,7 @@ class Pree(FrozenRecord):
             return value
 
     @property
-    def axiom_witnesses(self) -> tuple[Optional[AxiomWitness], Optional[AxiomWitness]]:
+    def axiom_witnesses(self) -> tuple[AxiomWitness | None, AxiomWitness | None]:
         """(witness4, witness5) from check_axiom, searched once per table.
 
         None entries mean the axiom holds.
@@ -137,7 +141,7 @@ class Pree(FrozenRecord):
         return self.derived("validation", lambda: validate_pree(self))
 
     @property
-    def solver_problem(self) -> Optional[str]:
+    def solver_problem(self) -> str | None:
         """Why the word solver's verdicts do not hold on this table, or None.
 
         The Dehn solver is sound on a valid table with both short-cycle
@@ -181,7 +185,7 @@ class VerificationReport(Record):
 
     __slots__ = _fields = ("name", "problems", "notes")
 
-    def __init__(self, name: str, problems: Optional[list[str]] = None, notes: Optional[list[str]] = None):
+    def __init__(self, name: str, problems: list[str] | None = None, notes: list[str] | None = None):
         self.name = name
         self.problems = [] if problems is None else problems
         self.notes = [] if notes is None else notes
@@ -252,8 +256,8 @@ def load_pree(text: str) -> Pree:
     """
     names: list[str] = []
     seen: dict[str, int] = {}
-    first_elements_line: Optional[list[str]] = None
-    identity_name: Optional[str] = None
+    first_elements_line: list[str] | None = None
+    identity_name: str | None = None
     inverse_decls: list[tuple[int, str, str]] = []
     product_decls: list[tuple[int, str, str, str]] = []
 
@@ -452,7 +456,7 @@ def validate_pree(p: Pree) -> VerificationReport:
     return r
 
 
-def _cycle_fails(p: Pree, cycle: Sequence[int]) -> Optional[tuple[int, ...]]:
+def _cycle_fails(p: Pree, cycle: Sequence[int]) -> tuple[int, ...] | None:
     """Quotients of the cycle if it is a counterexample, else None.
 
     None is also returned when some quotient is undefined (the cycle is
@@ -471,7 +475,7 @@ def _cycle_fails(p: Pree, cycle: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(quot)
 
 
-def check_axiom(p: Pree, n: int) -> Optional[AxiomWitness]:
+def check_axiom(p: Pree, n: int) -> AxiomWitness | None:
     """Search all length-n cycles with defined quotients for a violation.
 
     Returns None when the axiom holds, otherwise the lexicographically
@@ -494,7 +498,7 @@ def check_axiom(p: Pree, n: int) -> Optional[AxiomWitness]:
     cycle = [0] * n
     quots = [0] * n
 
-    def extend(i: int) -> Optional[tuple[int, ...]]:
+    def extend(i: int) -> tuple[int, ...] | None:
         if i == n:
             return _cycle_fails(p, cycle)
         for a in range(size):

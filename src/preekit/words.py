@@ -12,8 +12,6 @@ identity word.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .pree import UNDEF, FrozenRecord, Pree, PreeError, _set
 
 Word = tuple[int, ...]
@@ -137,9 +135,11 @@ def _lowest(mask: int) -> int:
 def _witness(p: Pree, start: int, top: Word, cols: list[int]) -> StripWitness:
     """The diagonal-minimal witness of a strip covering ``top``.
 
-    ``cols[j]`` holds the diagonals d_{j+1} reachable from the left.  A
+    ``cols[0]`` holds the diagonals d_1 on which the first letter opens a
+    strip, and ``cols[j]`` at least those d_{j+1} reachable from them.  A
     backward pass keeps the live ones, those from which the strip still
-    closes; walking forward, the lowest live successor is always taken.
+    closes; walking forward, the lowest live successor is always taken, so
+    diagonals a column holds beyond the reachable ones never enter.
     """
     _, step, close = strip_masks(p)
     table, inv = p.table, p.inv
@@ -166,7 +166,7 @@ def _witness(p: Pree, start: int, top: Word, cols: list[int]) -> StripWitness:
     return StripWitness(start=start, top=top, diagonals=tuple(diagonals), output=tuple(output))
 
 
-def find_strip(p: Pree, w: Word) -> Optional[StripWitness]:
+def find_strip(p: Pree, w: Word) -> StripWitness | None:
     """Leftmost, then shortest, then diagonal-minimal strip in ``w``.
 
     From each start one int per column holds the diagonals reachable so
@@ -258,7 +258,70 @@ def strongly_reduce(p: Pree, w: Word) -> tuple[Word, ReductionTrace]:
         stack, w = stack[: wit.start], wit.output + stack[wit.start + wit.top_length :]
 
 
-def geodesic_step(p: Pree, x: int, mask: int, y: int) -> Optional[int]:
+def irreducible_form(p: Pree, w: Word) -> Word:
+    """A strongly irreducible word for ``w``'s element, in one left-to-right
+    pass and without a trace; ``strongly_reduce`` finds the leftmost strips.
+
+    The letters sit on a stack, and each carries ``geodesic_step``'s mask:
+    the diagonals of the strips, from all starts at once, whose next top
+    letter it is.  So the stack never holds a defined pair or a strip.  A
+    letter that contracts with the top replaces it.  A letter whose pair
+    with the top closes a strip walks the masks back to the latest start of
+    such a strip; ``_witness`` rewrites the letters from there, with the
+    masks as its columns, and the pass resumes at that start.  A strip
+    costs its length, not the word's.
+    """
+    if len(w) == 0:
+        raise PreeError("empty word")
+    right, step, close = strip_masks(p)
+    table = p.table
+    stack: list[int] = []
+    masks: list[int] = []
+    todo = list(reversed(w))
+    while todo:
+        y = todo.pop()
+        if not stack:
+            stack.append(y)
+            masks.append(0)
+            continue
+        x = stack[-1]
+        c = table[x][y]
+        if c != UNDEF:
+            stack.pop()
+            masks.pop()
+            todo.append(c)
+            continue
+        mask = masks[-1]
+        live = mask & close[x][y]
+        if live:
+            # masks[i + 1] is right[stack[i]] and the step of masks[i] across
+            # stack[i]; until a strip opening on stack[i] reaches live, keep
+            # the diagonals of masks[i] that do
+            i = len(stack) - 2
+            while not live & right[stack[i]]:
+                row, m, ahead, live = step[stack[i]], masks[i], live, 0
+                while m:
+                    low = m & -m
+                    if row[low.bit_length() - 1] & ahead:
+                        live |= low
+                    m ^= low
+                i -= 1
+            cols = masks[i + 1 :]
+            cols[0] = right[stack[i]]
+            todo.extend(reversed(_witness(p, i, tuple(stack[i:]) + (y,), cols).output))
+            del stack[i:], masks[i:]
+            continue
+        row, nxt = step[x], right[x]
+        while mask:
+            low = mask & -mask
+            nxt |= row[low.bit_length() - 1]
+            mask ^= low
+        stack.append(y)
+        masks.append(nxt)
+    return tuple(stack)
+
+
+def geodesic_step(p: Pree, x: int, mask: int, y: int) -> int | None:
     """The mask after ``y`` follows ``x``, or None when ``x y`` contracts or
     closes a strip.  ``mask`` holds the diagonals of the strips from all
     earlier starts whose next top letter is ``x``; the next one holds the

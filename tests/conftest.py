@@ -199,6 +199,11 @@ def _run(argv):
 
 
 TRACE_WORD = "(-1,-1) (-1,0) (0,1) (1,1)"
+# 600 letters: each (1,0) after the first closes a strip over a (0,1) and
+# all the (1,1) letters before it, and the (-1,-1) letters cancel the rest
+SOLVE_IDENTITY_WORD = " ".join(["(0,1)"] * 200 + ["(1,0)"] * 200 + ["(-1,-1)"] * 200)
+# 402 letters, one strip, and (1,1)^401 after it
+SOLVE_STRIP_WORD = " ".join(["(0,1)"] + ["(1,1)"] * 400 + ["(1,0)"])
 
 GOLDEN_CASES = [
     ("zxz_verify", ["verify", fixture_path("zxz")], 0),
@@ -236,4 +241,6 @@ GOLDEN_CASES = [
     ("zxz_geodesic_yes", ["geodesic", fixture_path("zxz"), "(1,0) (1,1) (1,1)"], 0),
     # no contraction, but the whole word is one strip
     ("zxz_geodesic_no", ["geodesic", fixture_path("zxz"), "(0,1) (1,1) (1,0)"], 1),
+    ("zxz_solve_identity_long", ["solve", fixture_path("zxz"), SOLVE_IDENTITY_WORD], 0),
+    ("zxz_solve_strip_long", ["solve", fixture_path("zxz"), SOLVE_STRIP_WORD], 1),
 ]

@@ -79,18 +79,19 @@ def test_negative_counts_are_usage_errors(argv):
 
 
 def test_cli_import_leaves_diagrams_unloaded():
-    """Nor does any preekit module load dataclasses or inspect, which cost a
-    cold process several milliseconds; -S keeps site hooks from loading them."""
+    """Nor does any preekit module load dataclasses, inspect or typing, which
+    cost a cold process several milliseconds; -S keeps site hooks from
+    loading them."""
     script = (
         "import sys, preekit.cli\n"
         "assert 'preekit.diagrams' not in sys.modules\n"
-        "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\n"
         "import preekit\n"
         "ns = {}\n"
         "exec('from preekit import *', ns)\n"
         "assert len(preekit.__all__) == 27 and all(n in ns for n in preekit.__all__)\n"
         "assert preekit.diagrams.find_minimal_diagram is ns['find_minimal_diagram']\n"
-        "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)

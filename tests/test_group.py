@@ -51,7 +51,14 @@ from preekit.group import (
     verify_surjectivity,
 )
 from preekit.pree import UNDEF, AxiomWitness, Pree, PreeError, check_axiom
-from preekit.words import ReductionTrace, StripWitness, parse_word, strongly_reduce
+from preekit.words import (
+    ReductionTrace,
+    StripWitness,
+    inverse_word,
+    irreducible_form,
+    parse_word,
+    strongly_reduce,
+)
 
 
 ALL_FIXTURES = ("zxz", "s3", "z6", "q8", "taxicab", "cycle4", "cycle5", "broken_closure")
@@ -273,6 +280,16 @@ def test_equals_identity_matches_vector_oracle(zxz):
     for _ in range(400):
         w = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 9)))
         assert equals_identity(zxz, w) == (zxz_vector(zxz, w) == (0, 0))
+    # long words, and long identity words: the plane is abelian, so u then
+    # the inverse letters of u in any order is the identity
+    for n in (2_000, 3_500, 5_000, 7_500, 10_000):
+        u = [rng.choice(letters) for _ in range(n // 2)]
+        back = list(inverse_word(zxz, u))
+        rng.shuffle(back)
+        for w in (tuple(rng.choice(letters) for _ in range(n)), tuple(u + back)):
+            v = zxz_vector(zxz, w)
+            assert equals_identity(zxz, w) == (v == (0, 0))
+            assert len(irreducible_form(zxz, w)) == max(zxz_distance(*v), 1)
 
 
 def test_equals_identity_matches_free_oracle(taxicab):
@@ -281,6 +298,18 @@ def test_equals_identity_matches_free_oracle(taxicab):
     for _ in range(400):
         w = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 9)))
         assert equals_identity(taxicab, w) == (free_reduce(taxicab, w) == ())
+    # long words, and long identity words u v inv(v) inv(u) with identity
+    # letters strewn in
+    for n in (2_000, 3_500, 5_000, 7_500, 10_000):
+        u = tuple(rng.choice(letters) for _ in range(n // 4))
+        v = tuple(rng.choice(letters) for _ in range(n // 4))
+        ident = list(u + v + inverse_word(taxicab, v) + inverse_word(taxicab, u))
+        for _ in range(n // 100):
+            ident.insert(rng.randrange(len(ident) + 1), taxicab.identity)
+        for w in (tuple(rng.choice(letters) for _ in range(n)), tuple(ident)):
+            free = free_reduce(taxicab, w)
+            assert equals_identity(taxicab, w) == (free == ())
+            assert irreducible_form(taxicab, w) == (free or (taxicab.identity,))
 
 
 def test_equals_identity_on_full_tables(s3, z6, q8):

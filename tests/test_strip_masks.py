@@ -12,8 +12,11 @@ step; and the geodesic test and acceptor as they were written before
 top-tape projection, determinized, complemented and intersected with
 the irreducible words.  They are kept unchanged in ``oracles.py`` as
 differential oracles for the witnesses, the reduction traces, the
-geodesic test and the automata built on the masks.
+geodesic test and the automata built on the masks.  The solver's
+one-pass ``irreducible_form`` is checked against the traced reducer.
 """
+
+import random
 
 import pytest
 
@@ -25,6 +28,7 @@ from conftest import (
     load_fixture,
     random_words,
     solver_and_cycle_tables,
+    solver_tables,
 )
 from oracles import (
     reference_find_strip,
@@ -35,7 +39,15 @@ from oracles import (
 )
 from preekit import words
 from preekit.fsa import geodesic_acceptor, strip_reduction_pair_recognizer
-from preekit.words import find_strip, is_geodesic_word, strip_masks, strongly_reduce
+from preekit.group import equals_identity
+from preekit.words import (
+    find_strip,
+    inverse_word,
+    irreducible_form,
+    is_geodesic_word,
+    strip_masks,
+    strongly_reduce,
+)
 
 _TABLES = solver_and_cycle_tables()
 TABLES = pytest.mark.parametrize("name,p", _TABLES, ids=[name for name, _ in _TABLES])
@@ -74,6 +86,42 @@ def test_reductions_match_the_rescanning_reducer(name, p):
     and every witness field."""
     for w in random_words(p, 3, 100, 20) + random_words(p, 4, 10, 256):
         assert strongly_reduce(p, w) == reference_strongly_reduce(p, w), (name, w)
+
+
+_SOLVER_TABLES = solver_tables() + [("A2", a2_fano_pree()), ("FP(s3)", free_product_pree(load_fixture("s3")))]
+
+
+def _strip_block_words(p, seed, count):
+    """Words made of strip tops found in random words, and identity words
+    made of tops each followed by the inverse of its strip's output."""
+    rng = random.Random(seed)
+    tops = [wit for w in random_words(p, seed, 100, 20) if (wit := find_strip(p, w))]
+    out = []
+    for _ in range(count if tops else 0):
+        picks = [rng.choice(tops) for _ in range(rng.randint(1, 12))]
+        out.append(sum((wit.top for wit in picks), ()))
+        out.append(sum((wit.top + inverse_word(p, wit.output) for wit in picks), ()))
+    return out
+
+
+@pytest.mark.parametrize("name,p", _SOLVER_TABLES, ids=[name for name, _ in _SOLVER_TABLES])
+def test_one_pass_form_matches_the_traced_reducer(name, p):
+    """On random words, identity words and strip-block words: the same
+    verdict and the same length as ``strongly_reduce``, the same element,
+    and a geodesic or the word 1."""
+    ws = random_words(p, 6, 120, 30) + random_words(p, 7, 4, 400)
+    ws += [u + inverse_word(p, strongly_reduce(p, u)[0]) for u in ws[::4]]
+    ws += _strip_block_words(p, 8, 40)
+    one = (p.identity,)
+    identities = 0
+    for w in ws:
+        form, (reduced, _) = irreducible_form(p, w), strongly_reduce(p, w)
+        assert len(form) == len(reduced), (name, w)
+        assert (form == one) == (reduced == one) == equals_identity(p, w), (name, w)
+        assert form == one or is_geodesic_word(p, form), (name, w)
+        assert strongly_reduce(p, form + inverse_word(p, reduced))[0] == one, (name, w)
+        identities += form == one
+    assert identities >= len(ws) // 5, name
 
 
 def _machine(m):
