@@ -14,16 +14,10 @@ from __future__ import annotations
 import bisect
 import heapq
 
-# check_axiom is no longer called here; it stays importable as group.check_axiom
+# check_axiom and strongly_reduce are no longer called here; they stay
+# importable as group.check_axiom and group.strongly_reduce
 from .pree import TYPE_CHECKING, UNDEF, Pree, PreeError, Record, VerificationReport, check_axiom  # noqa: F401
-from .words import (
-    Word,
-    contract_push,
-    inverse_word,
-    irreducible_form,
-    render_word,
-    strongly_reduce,
-)
+from .words import Word, contract_push, inverse_word, irreducible_form, render_word, strongly_reduce  # noqa: F401
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -239,13 +233,13 @@ def cayley_ball(p: Pree, radius: int, method: str = "dehn") -> CayleyBall:
     """Breadth-first ball over the nonidentity letters.
 
     Element identity is decided by equals_identity ("dehn") or by the
-    neighbor-search oracle ("oracle", length bound 2 * radius + 6);
-    candidates are bucketed by their abelianized image first so the
-    expensive check runs only within a bucket.  Each table keeps one
-    breadth-first build per method, grown only past the radius already
-    reached, so every element is identified once per table; the ball of
-    radius r is a snapshot of its first r layers, equal to a fresh build,
-    and is cached too.  A ball with more than ``BALL_ELEMENT_CAP`` elements
+    neighbor-search oracle ("oracle", length bound 2 * radius + 6).  A
+    candidate is looked up by its ``irreducible_form`` first, and the
+    expensive check runs only within its abelianized bucket.  Each table
+    keeps one breadth-first build per method, grown only past the radius
+    already reached, so every element is identified once per table; the
+    ball of radius r is a snapshot of its first r layers, equal to a fresh
+    build, and is cached too.  A ball with more than ``BALL_ELEMENT_CAP`` elements
     raises PreeError, and a growth that raises drops the build.
     """
     if radius < 0:
@@ -264,9 +258,9 @@ class _Build:
         self.frontier = [0]
         self.radius = 0
         self.buckets: dict[tuple[int, ...], list[int]] = {abelian_obstruction(p).residue(()): [0]}
-        # strongly reduced forms give a sound fast path: one reduced word
-        # never names two elements, though one element may have several
-        self.by_reduced: dict[Word, int] = {(): 0, (p.identity,): 0}
+        # irreducible forms give a sound fast path: one such word never
+        # names two elements, though one element may have several
+        self.by_reduced: dict[Word, int] = {(p.identity,): 0}
 
 
 def _grown(p: Pree, radius: int, method: str) -> _Build:
@@ -298,7 +292,7 @@ def _grown(p: Pree, radius: int, method: str) -> _Build:
     reps, dist, buckets, by_reduced = b.reps, b.dist, b.buckets, b.by_reduced
 
     def identify(w: Word) -> tuple[int | None, Word]:
-        rw, _ = strongly_reduce(p, w)
+        rw = irreducible_form(p, w)
         hit = by_reduced.get(rw)
         if hit is not None:
             return hit, rw

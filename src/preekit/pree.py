@@ -350,20 +350,18 @@ def load_pree(text: str) -> Pree:
     for lineno, na, nb, nc in product_decls:
         set_declared(lineno, eid(lineno, na), eid(lineno, nb), eid(lineno, nc))
 
-    # Closure completion.  Derived conflicts are not load errors: the first
+    # Closure completion in one pass: inv is an involution, so the companions
+    # of a companion are the first triangle's own six readings, all filled
+    # when it is read.  Derived conflicts are not load errors: the first
     # value wins and validate_pree reports the inconsistency.
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                c = table[a][b]
-                if c == UNDEF:
-                    continue
-                for x, y, z in closure_products(inv, a, b, c):
-                    if table[x][y] == UNDEF:
-                        table[x][y] = z
-                        changed = True
+    for a in range(n):
+        for b in range(n):
+            c = table[a][b]
+            if c == UNDEF:
+                continue
+            for x, y, z in closure_products(inv, a, b, c):
+                if table[x][y] == UNDEF:
+                    table[x][y] = z
 
     return Pree(
         names=tuple(names),

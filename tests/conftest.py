@@ -212,6 +212,13 @@ GOLDEN_CASES = [
     ("q8_verify", ["verify", fixture_path("q8")], 0),
     ("taxicab_axioms", ["axioms", fixture_path("taxicab")], 0),
     ("taxicab_ball_r2", ["ball", fixture_path("taxicab"), "-r", "2"], 0),
+    ("zxz_ball_r4", ["ball", fixture_path("zxz"), "-r", "4"], 0),
+    # one short-cycle axiom fails, so the ball is built by the neighbor-search oracle
+    (
+        "cycle4_ball_r1_records",
+        ["ball", fixture_path("cycle4"), "-r", "1", "--format", "records"],
+        0,
+    ),
     ("cycle4_axioms", ["axioms", fixture_path("cycle4")], 1),
     ("cycle5_axioms", ["axioms", fixture_path("cycle5")], 1),
     ("broken_closure_validate", ["validate", fixture_path("broken_closure")], 3),

@@ -33,7 +33,7 @@ from preekit.group import (
     neighbor_pairs,
     require_solver,
 )
-from preekit.pree import UNDEF, AxiomWitness, Pree, PreeError, VerificationReport
+from preekit.pree import UNDEF, AxiomWitness, Pree, PreeError, VerificationReport, closure_products
 from preekit.words import (
     ReductionTrace,
     StripWitness,
@@ -44,6 +44,26 @@ from preekit.words import (
     render_word,
     strongly_reduce,
 )
+
+
+def reference_closure(inv, table):
+    """load_pree's closure completion as it was: passes over the table until
+    one fills no entry, each undefined companion of a defined entry taking
+    the first value offered."""
+    table = [list(row) for row in table]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(table)):
+            for b in range(len(table)):
+                c = table[a][b]
+                if c == UNDEF:
+                    continue
+                for x, y, z in closure_products(inv, a, b, c):
+                    if table[x][y] == UNDEF:
+                        table[x][y] = z
+                        changed = True
+    return tuple(tuple(row) for row in table)
 
 
 def zxz_vector(p, w):

@@ -18,6 +18,11 @@ def test_golden(name, argv, want):
         assert out == fh.read()
 
 
+def test_golden_dir_holds_exactly_the_cases():
+    """One transcript per case and nothing else, so a renamed case leaves no stale file."""
+    assert sorted(os.listdir(GOLDEN)) == sorted(name + ".txt" for name, _, _ in GOLDEN_CASES)
+
+
 def test_validate_ok():
     code, out, err = _run(["validate", fixture_path("zxz")])
     assert code == 0

@@ -20,6 +20,7 @@ from conftest import (
     cyclic_pree,
     dihedral_subtable,
     fixture_path,
+    free_product_pree,
     load_fixture,
     solver_and_cycle_tables,
     solver_tables,
@@ -404,22 +405,25 @@ def _ball_tables():
     tables = [(name, load_fixture(name), range(9)) for name in ("zxz", "s3", "z6", "q8")]
     tables.append(("taxicab", load_fixture("taxicab"), range(6)))
     tables += [("Z_%d" % n, cyclic_pree(n, seed=n), range(9)) for n in (7, 8, 9)]
+    tables += [("A2", a2_fano_pree(), range(4)), ("FP2", free_product_pree(load_fixture("zxz")), range(4))]
     return tables
 
 
 def test_every_snapshot_equals_a_fresh_build(monkeypatch):
     """Whatever radii are asked, in whatever order, each ball equals a fresh
-    build of that radius, and the table's one build reduces each candidate
-    word once: as often as one fresh build of the largest radius does."""
-    reduce = group.strongly_reduce
+    build of that radius, whose lookups are keyed on ``strongly_reduce``, and
+    the table's one build reduces each candidate word once: as often as one
+    fresh build of the largest radius does."""
+    reduce = group.irreducible_form
     reduced = []
-    monkeypatch.setattr(group, "strongly_reduce", lambda q, w: reduced.append(w) or reduce(q, w))
+    monkeypatch.setattr(group, "irreducible_form", lambda q, w: reduced.append(w) or reduce(q, w))
     rng = random.Random(16)
     for name, p, radii in _ball_tables():
         want = {r: build_ball(p, r, "dehn") for r in radii}
         reduced.clear()
         cayley_ball(Pree(p.names, p.identity, p.inv, p.table), max(radii))
         once = len(reduced)
+        assert once > 0, name
         orders = [list(reversed(radii))] + [rng.sample(radii, len(radii)) for _ in range(2)]
         for order in orders:
             q = Pree(p.names, p.identity, p.inv, p.table)  # an equal table with an empty store
@@ -427,6 +431,19 @@ def test_every_snapshot_equals_a_fresh_build(monkeypatch):
             for r in order:
                 assert cayley_ball(q, r) == want[r], (name, order, r)
             assert len(reduced) == once, (name, order)
+
+
+def test_no_ball_build_calls_strongly_reduce(monkeypatch):
+    """Both methods key their lookups on ``irreducible_form``; the traced
+    reducer serves ``preekit reduce`` alone."""
+
+    def refuse(q, w):
+        raise AssertionError("strongly_reduce called")
+
+    monkeypatch.setattr(group, "strongly_reduce", refuse)
+    for name, r, method in (("zxz", 4, "dehn"), ("zxz", 4, "oracle"), ("cycle4", 1, "oracle")):
+        want = build_ball(load_fixture(name), r, method)
+        assert cayley_ball(load_fixture(name), r, method=method) == want, (name, method)
 
 
 def test_oracle_snapshots_equal_fresh_builds_at_the_bound_of_the_radius_asked(monkeypatch):

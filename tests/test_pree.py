@@ -1,8 +1,12 @@
 """Table loading, closure completion, and the structural validator."""
 
+import random
+
 import pytest
 
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
+from oracles import reference_closure
+from preekit import pree
 from preekit.pree import PreeError, closure_products, dump_pree, load_pree, validate_pree
 
 MINI = """
@@ -39,6 +43,50 @@ def test_closure_products_lists_five_companions():
     inv = (0, 2, 1, 4, 3, 6, 5)
     got = closure_products(inv, 1, 3, 5)
     assert got == [(2, 5, 3), (5, 4, 1), (3, 6, 2), (6, 1, 4), (4, 2, 6)]
+
+
+def _random_table_text(rng):
+    """3 to 8 elements, random inverse pairs, and up to 3n products on pairs
+    that no law fixes; a product need not agree with the others, so the
+    closure often meets a conflict."""
+    n = rng.randint(3, 8)
+    letters = list(range(1, n))
+    rng.shuffle(letters)
+    inv = list(range(n))
+    lines = ["elements: " + " ".join("g%d" % k for k in range(n)), "identity: g0"]
+    while len(letters) >= 2 and rng.random() < 0.6:
+        a, b = letters.pop(), letters.pop()
+        inv[a], inv[b] = b, a
+        lines.append("inverse: g%d g%d" % (a, b))
+    declared = set()
+    for _ in range(rng.randint(0, 3 * n)):
+        a, b = rng.randrange(1, n), rng.randrange(1, n)
+        if b != inv[a] and (a, b) not in declared:
+            declared.add((a, b))
+            lines.append("product: g%d g%d g%d" % (a, b, rng.randrange(n)))
+    return "\n".join(lines) + "\n"
+
+
+def test_one_closure_pass_reaches_the_fixpoint(monkeypatch):
+    """The loaded table equals the declared one closed by passes until
+    nothing changes, on the fixtures and on random, often conflicting, tables."""
+    texts = []
+    for name in ("zxz", "s3", "z6", "q8", "taxicab", "cycle4", "cycle5", "broken_closure"):
+        with open(fixture_path(name)) as fh:
+            texts.append(fh.read())
+    rng = random.Random(23)
+    texts += [_random_table_text(rng) for _ in range(2000)]
+    conflicts = 0
+    for text in texts:
+        with monkeypatch.context() as m:
+            m.setattr(pree, "closure_products", lambda inv, a, b, c: ())
+            declared = load_pree(text)
+        p = load_pree(text)
+        assert p.table == reference_closure(declared.inv, declared.table), text
+        conflicts += any(
+            p.table[x][y] != z for a, b, c in p.defined_pairs() for x, y, z in closure_products(p.inv, a, b, c)
+        )
+    assert conflicts > 100
 
 
 def test_missing_identity_rejected():
