@@ -17,7 +17,14 @@ import heapq
 # check_axiom and strongly_reduce are no longer called here; they stay
 # importable as group.check_axiom and group.strongly_reduce
 from .pree import TYPE_CHECKING, UNDEF, Pree, PreeError, Record, VerificationReport, check_axiom  # noqa: F401
-from .words import Word, contract_push, inverse_word, irreducible_form, render_word, strongly_reduce  # noqa: F401
+from .words import (
+    Word,
+    contract_push,
+    inverse_word,
+    irreducible_form,
+    render_word,
+    strongly_reduce,  # noqa: F401
+)
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
