@@ -176,15 +176,7 @@ def curvature_check(d: Diagram) -> tuple[int, int, bool]:
 
 def single_triangle(p: Pree, a: int, b: int) -> Diagram:
     """One face; boundary reads a, b, (ab)^-1 from vertex 0."""
-    c = p.table[a][b]
-    if c == UNDEF:
-        raise DiagramError(
-            "product of %s and %s is not defined" % (p.name(a), p.name(b))
-        )
-    edges = ((0, 1, a), (1, 2, b), (2, 0, p.inv[c]))
-    boundary = ((0, True), (1, True), (2, True))
-    faces = (((2, False), (1, False), (0, False)),)
-    return Diagram(p, 3, edges, faces, boundary)
+    return Diagram(p, *_triangle_parts(p, a, b))
 
 
 def attach_triangle(
@@ -197,22 +189,31 @@ def attach_triangle(
     factors: the sides at pos and pos+1, reading x and y with x*y
     defined, are covered together; the boundary shrinks by one.
     """
-    return _attach(d, [(pos, factors)])
-
-
-def _attach(d: Diagram, moves: list) -> Diagram:
-    """Apply the (pos, factors) moves of attach_triangle in turn to the
-    raw parts of d, and build one Diagram, which validates itself."""
-    p = d.pree
-    parts = (d.n_vertices, d.edges, d.faces, d.boundary)
-    for pos, factors in moves:
-        parts = _fold(p, parts, pos) if factors is None else _split(p, parts, pos, *factors)
-    return Diagram(p, *parts)
+    return _attach(d.pree, (d.n_vertices, d.edges, d.faces, d.boundary), [(pos, factors)])
 
 
 # _split and _fold map the raw parts (n_vertices, edges, faces, boundary)
 # of a diagram to those of the next and check only the move itself.
 Parts = tuple[int, tuple, tuple, tuple]
+
+
+def _attach(p: Pree, parts: Parts, moves: list) -> Diagram:
+    """Apply the (pos, factors) moves of attach_triangle in turn to raw
+    parts, and build one Diagram, which validates itself."""
+    for pos, factors in moves:
+        parts = _fold(p, parts, pos) if factors is None else _split(p, parts, pos, *factors)
+    return Diagram(p, *parts)
+
+
+def _triangle_parts(p: Pree, a: int, b: int) -> Parts:
+    """The raw parts of single_triangle(p, a, b)."""
+    c = p.table[a][b]
+    if c == UNDEF:
+        raise DiagramError(
+            "product of %s and %s is not defined" % (p.name(a), p.name(b))
+        )
+    edges = ((0, 1, a), (1, 2, b), (2, 0, p.inv[c]))
+    return 3, edges, (((2, False), (1, False), (0, False)),), ((0, True), (1, True), (2, True))
 
 
 def _oriented(p: Pree, edges: tuple, s: Side) -> tuple[int, int, int]:
@@ -307,7 +308,7 @@ def diagram_from_strip(p: Pree, witness: StripWitness) -> Diagram:
     for i in range(2, n):
         moves.append((i - 1, (a[i - 1], g[i - 2])))
         moves.append((i, (d[i - 1] if i < n - 1 else a[n - 1], inv[c[i - 1]])))
-    return _attach(single_triangle(p, a[0], d[0]), moves)
+    return _attach(p, _triangle_parts(p, a[0], d[0]), moves)
 
 
 def fan_diagram(p: Pree, spokes: list[int]) -> Diagram:
@@ -329,7 +330,7 @@ def fan_diagram(p: Pree, spokes: list[int]) -> Diagram:
             raise DiagramError("spoke quotient %d is not defined" % i)
         quot.append(q)
     moves = [(0, (spokes[i + 1], inv[quot[i]])) for i in range(1, n - 1)] + [(n, None)]
-    return _attach(single_triangle(p, spokes[1], inv[quot[0]]), moves)
+    return _attach(p, _triangle_parts(p, spokes[1], inv[quot[0]]), moves)
 
 
 def reduce_internal_vertex(p: Pree, d: Diagram, v: int) -> Diagram:
@@ -516,19 +517,26 @@ def _canonical(inv: dict[int, int], w: str) -> str:
     return best
 
 
-def _diagram_moves(p: Pree) -> tuple[dict, dict, dict, set]:
+def _diagram_moves(p: Pree) -> tuple[dict, dict, dict, dict]:
     """The search's move tables on coded words, built once per table.
 
     The inverse as a translate map, the product of each defined
     two-letter word, each letter's two-letter factorizations in id order,
-    and the canonical triangle words.
+    and the triangle readings: each of the six readings (three rotations,
+    two directions) of every triangle word, mapped to its canonical word.
     """
 
     def build():
         inv = dict(enumerate(p.inv))
         prod = {chr(a) + chr(b): chr(c) for a, b, c in p.defined_pairs()}
         fact = {chr(c): [chr(a) + chr(b) for a, b in fs] for c, fs in enumerate(p.factorizations)}
-        triangles = {_canonical(inv, ab + chr(p.inv[ord(c)])) for ab, c in prod.items()}
+        triangles = {}
+        for ab, c in prod.items():
+            t = ab + chr(p.inv[ord(c)])
+            rep = _canonical(inv, t)
+            for u in (t, t.translate(inv)[::-1]):
+                for r in range(3):
+                    triangles[u[r:] + u[:r]] = rep
         return inv, prod, fact, triangles
 
     return p.derived("diagram_moves", build)
@@ -579,9 +587,12 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Diagram | None
     parents pop; its expanding parents are all one length, so they popped
     in (g, rep) order and their entries sort alike.  Every child thus gets
     the parent, and w the diagram, of an eager search.  Words are coded as
-    str (see _canonical).  The path found is replayed on raw diagram parts
-    by the split and fold of attach_triangle, each step finding its reading
-    by str.find, and the one Diagram built at the end validates itself.
+    str (see _canonical).  A triangle child reads its key from the table
+    of triangle readings; with no room left, any other child is dropped
+    without a _canonical call.  The path found is replayed on raw diagram
+    parts, from those of the goal's triangle, by the split and fold of
+    attach_triangle, each step finding its reading by str.find, and the
+    one Diagram built at the end validates itself.
     """
     if len(w) < 2:
         raise PreeError("boundary word needs length >= 2")
@@ -598,10 +609,12 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Diagram | None
     def push(g: int, rep: str, children: list) -> None:
         ng, room = g + 1, max_area - 2 - g
         for move, child in children:
-            # keys of best_g are canonical, and _canonical is idempotent
-            cc = child if child in best_g else _canonical(inv, child)
-            if room == 0 and cc not in triangles:
-                continue
+            cc = triangles.get(child)
+            if cc is None:
+                if room == 0:
+                    continue
+                # keys of best_g are canonical, and _canonical is idempotent
+                cc = child if child in best_g else _canonical(inv, child)
             if ng < best_g.get(cc, ng + 1):
                 best_g[cc] = ng
                 parents[cc] = (rep, move, child)
@@ -640,8 +653,7 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Diagram | None
         return None
 
     x1, x2, x3 = _triangle_reading(p, tuple(map(ord, goal)))
-    t = single_triangle(p, x1, x2)
-    parts = (t.n_vertices, t.edges, t.faces, t.boundary)
+    parts = _triangle_parts(p, x1, x2)
     node = goal
     while node != start:
         parent, (kind, i), exact = parents[node]

@@ -204,6 +204,7 @@ TRACE_WORD = "(-1,-1) (-1,0) (0,1) (1,1)"
 SOLVE_IDENTITY_WORD = " ".join(["(0,1)"] * 200 + ["(1,0)"] * 200 + ["(-1,-1)"] * 200)
 # 402 letters, one strip, and (1,1)^401 after it
 SOLVE_STRIP_WORD = " ".join(["(0,1)"] + ["(1,1)"] * 400 + ["(1,0)"])
+DIAGRAM_K3_WORD = "(0,1) (0,1) (0,1) (1,0) (1,0) (1,0) (-1,-1) (-1,-1) (-1,-1)"
 
 GOLDEN_CASES = [
     ("zxz_verify", ["verify", fixture_path("zxz")], 0),
@@ -250,4 +251,16 @@ GOLDEN_CASES = [
     ("zxz_geodesic_no", ["geodesic", fixture_path("zxz"), "(0,1) (1,1) (1,0)"], 1),
     ("zxz_solve_identity_long", ["solve", fixture_path("zxz"), SOLVE_IDENTITY_WORD], 0),
     ("zxz_solve_strip_long", ["solve", fixture_path("zxz"), SOLVE_STRIP_WORD], 1),
+    # the hexagon with sides of length 3: area 9, and none within area 8
+    ("zxz_diagram_k3", ["diagram", fixture_path("zxz"), "--boundary", DIAGRAM_K3_WORD], 0),
+    (
+        "zxz_diagram_k3_none",
+        ["diagram", fixture_path("zxz"), "--boundary", DIAGRAM_K3_WORD, "--max-area", "8"],
+        1,
+    ),
+    (
+        "s3_diagram_records",
+        ["diagram", fixture_path("s3"), "--boundary", "r s r s r r2 r2 r", "--format", "records"],
+        0,
+    ),
 ]

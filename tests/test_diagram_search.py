@@ -8,14 +8,16 @@ every input both answer, the diagrams must be identical, and where only
 the new search answers, the area must be exactly ``max_area``.
 """
 
+import itertools
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import dihedral_subtable, load_fixture
+from conftest import a2_fano_pree, dihedral_subtable, free_product_pree, load_fixture, solver_and_cycle_tables
 from oracles import reference_canonical, reference_find_minimal_diagram
-from preekit.diagrams import _canonical, _first_reading, find_minimal_diagram, grow_random
+from preekit.diagrams import _canonical, _diagram_moves, _first_reading, find_minimal_diagram, grow_random
+from preekit.pree import UNDEF
 from preekit.words import inverse_word, parse_word
 
 
@@ -30,11 +32,17 @@ CASES = [
     ("q8", range(2, 9), 6),
     ("z6", range(2, 9), 6),
     ("D_6/14", range(2, 10), 8),
+    ("FP2", range(2, 11), 8),
+    ("A2", range(2, 10), 8),
 ]
 
 
 def case_table(name):
-    return dihedral_subtable(6, 14, keep=0.3) if name == "D_6/14" else load_fixture(name)
+    if name == "D_6/14":
+        return dihedral_subtable(6, 14, keep=0.3)
+    if name == "FP2":
+        return free_product_pree(load_fixture("zxz"))
+    return a2_fano_pree() if name == "A2" else load_fixture(name)
 
 
 @pytest.mark.parametrize("name,areas,per_area", CASES, ids=[c[0] for c in CASES])
@@ -120,6 +128,30 @@ def test_canonical_codes_large_alphabets():
             assert _canonical(dict(enumerate(inv)), got) == got
             top = max(top, *w)
     assert top > 900
+
+
+READINGS_TABLES = solver_and_cycle_tables() + [
+    ("FP2", free_product_pree(load_fixture("zxz"))),
+    ("A2", a2_fano_pree()),
+    # partial tables that often break an axiom
+    ("D_7/3", dihedral_subtable(7, 3, keep=0.2)),
+    ("D_4/8", dihedral_subtable(4, 8, keep=0.5)),
+]
+
+
+@pytest.mark.parametrize("name,p", READINGS_TABLES, ids=[t[0] for t in READINGS_TABLES])
+def test_triangle_readings_table(name, p):
+    """The readings table holds exactly the 3-letter words, over all |P|^3,
+    that some rotation or direction reads as x1 x2 x3 with x1 x2 = x3^-1,
+    each mapped to its canonical word."""
+    inv, want = dict(enumerate(p.inv)), {}
+    for w in itertools.product(range(p.size), repeat=3):
+        readings = [t[r:] + t[:r] for t in (w, tuple(p.inv[a] for a in reversed(w))) for r in range(3)]
+        if any(p.table[x1][x2] != UNDEF and p.table[x1][x2] == p.inv[x3] for x1, x2, x3 in readings):
+            coded = "".join(map(chr, w))
+            want[coded] = _canonical(inv, coded)
+    assert 0 < len(want) < p.size ** 3
+    assert _diagram_moves(p)[3] == want
 
 
 def assert_first_readings(p, d):

@@ -20,6 +20,7 @@ from oracles import (
     zxz_vector,
 )
 from preekit.diagrams import (
+    Diagram,
     DiagramError,
     _fold,
     attach_triangle,
@@ -149,6 +150,30 @@ def test_fan_diagram_hexagon(zxz):
     assert curvature_check(d)[2]
     stats = diagram_stats(d)
     assert stats.internal_degrees == (6,)
+
+
+def test_each_build_validates_once(zxz, monkeypatch):
+    """Each builder validates the Diagram it returns and builds no other."""
+    x, y = zxz.id_of("(1,0)"), zxz.id_of("(0,1)")
+    t = single_triangle(zxz, x, y)
+    k3 = parse_word(zxz, "(0,1) (0,1) (0,1) (1,0) (1,0) (1,0) (-1,-1) (-1,-1) (-1,-1)")
+    wit = find_strip(zxz, parse_word(zxz, "(0,1) (1,1) (1,1) (1,0)"))
+    hexagon = [zxz.id_of(s) for s in ["(1,0)", "(1,1)", "(0,1)", "(-1,0)", "(-1,-1)", "(0,-1)"]]
+    builds = {
+        "k3 search": lambda: find_minimal_diagram(zxz, k3),
+        "digon search": lambda: find_minimal_diagram(zxz, (x, zxz.inv[x])),
+        "strip": lambda: diagram_from_strip(zxz, wit),
+        "fan": lambda: fan_diagram(zxz, hexagon),
+        "triangle": lambda: single_triangle(zxz, x, y),
+        "attach": lambda: attach_triangle(t, 0, zxz.factorizations[x][0]),
+    }
+    validated = []
+    validate = Diagram._validate
+    monkeypatch.setattr(Diagram, "_validate", lambda d: (validated.append(d), validate(d))[1])
+    for name, build in builds.items():
+        validated.clear()
+        d = build()
+        assert d.area > 0 and validated == [d], name
 
 
 def test_fan_needs_three_spokes(zxz):
