@@ -15,13 +15,21 @@ reading the stored label, (e, False) runs v -> u reading its inverse.
 from __future__ import annotations
 
 import heapq
-from random import Random
 
-from .pree import UNDEF, Pree, PreeError, Record
+from .pree import TYPE_CHECKING, UNDEF, Pree, PreeError, Record
 from .words import Word, StripWitness, inverse_word, render_word
 from .group import abelian_obstruction
 
+if TYPE_CHECKING:
+    from random import Random
+
 Side = tuple[int, bool]
+
+
+def _oriented(p: Pree, edges: tuple, s: Side) -> tuple[int, int, int]:
+    """Tail, head and label of side s."""
+    u, v, lab = edges[s[0]]
+    return (u, v, lab) if s[1] else (v, u, p.inv[lab])
 
 
 class DiagramError(Exception):
@@ -50,18 +58,8 @@ class Diagram:
     def area(self) -> int:
         return len(self.faces)
 
-    def side_tail(self, s: Side) -> int:
-        e, fwd = s
-        return self.edges[e][0] if fwd else self.edges[e][1]
-
-    def side_head(self, s: Side) -> int:
-        e, fwd = s
-        return self.edges[e][1] if fwd else self.edges[e][0]
-
     def side_label(self, s: Side) -> int:
-        e, fwd = s
-        lab = self.edges[e][2]
-        return lab if fwd else self.pree.inv[lab]
+        return _oriented(self.pree, self.edges, s)[2]
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n_vertices
@@ -71,7 +69,7 @@ class Diagram:
         return deg
 
     def boundary_vertices(self) -> list[int]:
-        return [self.side_tail(s) for s in self.boundary]
+        return [_oriented(self.pree, self.edges, s)[0] for s in self.boundary]
 
     def internal_vertices(self) -> list[int]:
         on_b = set(self.boundary_vertices())
@@ -105,13 +103,12 @@ class Diagram:
         for f in self.faces:
             if len(f) != 3:
                 raise DiagramError("face is not a triangle")
-            verts = [self.side_tail(s) for s in f]
-            if len(set(verts)) != 3:
+            (u1, v1, l1), (u2, v2, l2), (u3, v3, l3) = [_oriented(p, self.edges, s) for s in f]
+            if len({u1, u2, u3}) != 3:
                 raise DiagramError("face vertices not distinct")
-            for k in range(3):
-                if self.side_head(f[k]) != self.side_tail(f[(k + 1) % 3]):
-                    raise DiagramError("face walk does not close")
-            labs = [self.side_label(s) for s in f]
+            if (v1, v2, v3) != (u2, u3, u1):
+                raise DiagramError("face walk does not close")
+            labs = [l1, l2, l3]
             ok = False
             for r in range(3):
                 x1, x2, x3 = labs[r], labs[(r + 1) % 3], labs[(r + 2) % 3]
@@ -129,13 +126,12 @@ class Diagram:
                 used.add(s)
         if len(self.boundary) < 2:
             raise DiagramError("boundary shorter than 2")
-        bverts = self.boundary_vertices()
+        walk = [_oriented(p, self.edges, s) for s in self.boundary]
+        bverts = [u for u, _, _ in walk]
         if len(set(bverts)) != len(bverts):
             raise DiagramError("boundary is not simple")
-        n = len(self.boundary)
-        for k in range(n):
-            if self.side_head(self.boundary[k]) != self.side_tail(self.boundary[(k + 1) % n]):
-                raise DiagramError("boundary walk does not close")
+        if [v for _, v, _ in walk] != bverts[1:] + bverts[:1]:
+            raise DiagramError("boundary walk does not close")
         for s in self.boundary:
             if s in used:
                 raise DiagramError("edge side used twice")
@@ -216,12 +212,6 @@ def _triangle_parts(p: Pree, a: int, b: int) -> Parts:
     return 3, edges, (((2, False), (1, False), (0, False)),), ((0, True), (1, True), (2, True))
 
 
-def _oriented(p: Pree, edges: tuple, s: Side) -> tuple[int, int, int]:
-    """Tail, head and label of side s."""
-    u, v, lab = edges[s[0]]
-    return (u, v, lab) if s[1] else (v, u, p.inv[lab])
-
-
 def _split(p: Pree, parts: Parts, pos: int, e: int, f: int) -> Parts:
     m, edges, faces, boundary = parts
     pos %= len(boundary)
@@ -263,32 +253,6 @@ def _fold(p: Pree, parts: Parts, pos: int) -> Parts:
     else:
         boundary = boundary[:pos] + ((eid, True),) + boundary[pos + 2 :]
     return m, edges + ((u, w, z),), faces, boundary
-
-
-def _rebuild(
-    p: Pree,
-    n_vertices: int,
-    edges: list,
-    faces: list,
-    boundary: list,
-    drop_vertices: set[int],
-    drop_edges: set[int],
-) -> Diagram:
-    vmap = {}
-    for v in range(n_vertices):
-        if v not in drop_vertices:
-            vmap[v] = len(vmap)
-    emap = {}
-    new_edges = []
-    for i, (u, v, lab) in enumerate(edges):
-        if i in drop_edges:
-            continue
-        emap[i] = len(new_edges)
-        new_edges.append((vmap[u], vmap[v], lab))
-    remap = lambda s: (emap[s[0]], s[1])
-    new_faces = [tuple(remap(s) for s in f) for f in faces]
-    new_boundary = [remap(s) for s in boundary]
-    return Diagram(p, len(vmap), tuple(new_edges), tuple(new_faces), tuple(new_boundary))
 
 
 def diagram_from_strip(p: Pree, witness: StripWitness) -> Diagram:
@@ -336,78 +300,55 @@ def fan_diagram(p: Pree, spokes: list[int]) -> Diagram:
 def reduce_internal_vertex(p: Pree, d: Diagram, v: int) -> Diagram:
     """Remove an internal vertex of degree 3..5 and re-cover the hole.
 
-    The spoke labels around v form a short cycle whose quotients are the
-    hole's perimeter labels; the short-cycle axioms provide the diagonal
-    products, and each re-cover step drops the area by removing deg(v)
-    faces and adding deg(v) - 2.
+    Each face at v, turned to start at its side out of v, has its middle
+    side on the hole and its last side running back into v along the next
+    face's side out.  The middle sides, face after face, thus walk the
+    hole as _fold walks a boundary, and the short-cycle axioms let folds
+    re-cover it with deg(v) - 2 faces; _recover finds an order of folds
+    that joins no vertex to itself.  One Diagram is built at the end.
     """
     if v in d.boundary_vertices():
         raise DiagramError("vertex is on the boundary")
-    fan = []
-    for fi, face in enumerate(d.faces):
-        if any(d.side_tail(s) == v for s in face):
-            fan.append(fi)
-    deg = len(fan)
-    if deg not in (3, 4, 5):
-        raise DiagramError("vertex degree %d is not 3, 4, or 5" % deg)
-    # orient each fan face around its corner at v
-    corner = {}
-    by_in_edge = {}
-    for fi in fan:
-        face = d.faces[fi]
-        k = next(i for i in range(3) if d.side_head(face[i]) == v)
-        s_in, s_out, s_per = face[k], face[(k + 1) % 3], face[(k + 2) % 3]
-        corner[fi] = (s_in, s_out, s_per)
-        by_in_edge[s_in[0]] = fi
-    chain = [fan[0]]
-    while len(chain) < deg:
-        out_edge = corner[chain[-1]][1][0]
-        chain.append(by_in_edge[out_edge])
-    # after the shift, chain[i] walks rim[i] -> v -> rim[i+1]; its third
-    # side runs rim[i+1] -> rim[i], the freed side of that hole edge
-    rim = [d.side_head(corner[fi][1]) for fi in chain]
-    sigma = [d.side_label(corner[fi][1]) for fi in chain]
-    rim = rim[-1:] + rim[:-1]
-    sigma = sigma[-1:] + sigma[:-1]
-    per_side = [corner[fi][2] for fi in chain]
-    pi = []
-    for i in range(deg):
-        q = p.table[p.inv[sigma[i]]][sigma[(i + 1) % deg]]
-        if q == UNDEF:
-            raise DiagramError("fan quotient undefined; diagram is inconsistent")
-        pi.append(q)
-    spoke_edges = {corner[fi][0][0] for fi in chain}
-    new_edges = list(d.edges)
-    new_faces = [f for i, f in enumerate(d.faces) if i not in set(fan)]
-    # hole entries: (tail rim vertex, head rim vertex, quotient, freed side head->tail)
-    hole = [(rim[i], rim[(i + 1) % deg], pi[i], per_side[i]) for i in range(deg)]
-    while len(hole) > 3:
-        n_h = len(hole)
-        cut = -1
-        for k in range(n_h):
-            if p.table[hole[k][2]][hole[(k + 1) % n_h][2]] != UNDEF:
-                cut = k
-                break
-        if cut == -1:
-            raise DiagramError("no short-cycle witness for the hole")
-        k1, k2 = hole[cut], hole[(cut + 1) % n_h]
-        delta = p.table[k1[2]][k2[2]]
-        if k1[0] == k2[1]:
-            raise DiagramError("degenerate re-triangulation")
-        eid = len(new_edges)
-        new_edges.append((k1[0], k2[1], delta))
-        new_faces.append((k2[3], k1[3], (eid, True)))
-        merged = (k1[0], k2[1], delta, (eid, False))
-        rest = [hole[(cut + 1 + i) % n_h] for i in range(1, n_h - 1)]
-        hole = [merged] + rest
-    if len({hole[0][0], hole[1][0], hole[2][0]}) != 3:
-        raise DiagramError("degenerate re-triangulation")
-    if p.table[hole[0][2]][hole[1][2]] != p.inv[hole[2][2]]:
-        raise DiagramError("no short-cycle witness for the hole")
-    new_faces.append((hole[2][3], hole[1][3], hole[0][3]))
-    return _rebuild(
-        p, d.n_vertices, new_edges, new_faces, list(d.boundary), {v}, spoke_edges
-    )
+    turned, rest = {}, []
+    for f in d.faces:
+        tails = [_oriented(p, d.edges, s)[0] for s in f]
+        if v in tails:
+            k = tails.index(v)
+            turned[f[k][0]] = f[k:] + f[:k]
+        else:
+            rest.append(f)
+    if len(turned) not in (3, 4, 5):
+        raise DiagramError("vertex degree %d is not 3, 4, or 5" % len(turned))
+    fan = [next(iter(turned.values()))]
+    while len(fan) < len(turned):
+        fan.append(turned[fan[-1][2][0]])
+    hole = tuple(f[1] for f in fan)
+    _, edges, faces, _ = _recover(p, (d.n_vertices, d.edges, tuple(rest), hole))
+    # renumber without v and its spokes
+    keep = [i for i, (a, b, _) in enumerate(edges) if v not in (a, b)]
+    emap = {i: k for k, i in enumerate(keep)}
+    side = lambda s: (emap[s[0]], s[1])
+    edges = tuple((a - (a > v), b - (b > v), lab) for a, b, lab in (edges[i] for i in keep))
+    faces = tuple(tuple(map(side, f)) for f in faces)
+    return Diagram(p, d.n_vertices - 1, edges, faces, tuple(map(side, d.boundary)))
+
+
+def _recover(p: Pree, parts: Parts) -> Parts:
+    """Cover the boundary of parts, 3 to 5 sides, with faces: fold ears
+    in walk order, backtracking when a fold is refused, and close the last
+    three sides as one face."""
+    m, edges, faces, hole = parts
+    if len(hole) == 3:
+        (u1, _, x), (u2, _, y), (u3, _, z) = [_oriented(p, edges, s) for s in hole]
+        if len({u1, u2, u3}) != 3 or p.table[x][y] != p.inv[z]:
+            raise DiagramError("no re-triangulation of the hole")
+        return m, edges, faces + (hole,), ()
+    for pos in range(len(hole)):
+        try:
+            return _recover(p, _fold(p, parts, pos))
+        except DiagramError:
+            pass
+    raise DiagramError("no re-triangulation of the hole")
 
 
 class DiagramStats(Record):

@@ -679,6 +679,124 @@ def reference_fan_diagram(p: Pree, spokes: list[int]) -> Diagram:
     return Diagram(p, n + 1, tuple(edges), tuple(faces), tuple(boundary))
 
 
+def _side_tail(d: Diagram, s) -> int:
+    e, fwd = s
+    return d.edges[e][0] if fwd else d.edges[e][1]
+
+
+def _side_head(d: Diagram, s) -> int:
+    e, fwd = s
+    return d.edges[e][1] if fwd else d.edges[e][0]
+
+
+def _reference_rebuild(
+    p: Pree,
+    n_vertices: int,
+    edges: list,
+    faces: list,
+    boundary: list,
+    drop_vertices: set[int],
+    drop_edges: set[int],
+) -> Diagram:
+    vmap = {}
+    for v in range(n_vertices):
+        if v not in drop_vertices:
+            vmap[v] = len(vmap)
+    emap = {}
+    new_edges = []
+    for i, (u, v, lab) in enumerate(edges):
+        if i in drop_edges:
+            continue
+        emap[i] = len(new_edges)
+        new_edges.append((vmap[u], vmap[v], lab))
+    remap = lambda s: (emap[s[0]], s[1])
+    new_faces = [tuple(remap(s) for s in f) for f in faces]
+    new_boundary = [remap(s) for s in boundary]
+    return Diagram(p, len(vmap), tuple(new_edges), tuple(new_faces), tuple(new_boundary))
+
+
+def reference_reduce_internal_vertex(p: Pree, d: Diagram, v: int) -> Diagram:
+    """reduce_internal_vertex as it was, with its own hole list and rebuild:
+    it covers the first ear whose product is defined, and refuses the
+    vertex when that ear joins a vertex to itself.  Side tails and heads
+    were Diagram methods then.
+
+    Remove an internal vertex of degree 3..5 and re-cover the hole.
+
+    The spoke labels around v form a short cycle whose quotients are the
+    hole's perimeter labels; the short-cycle axioms provide the diagonal
+    products, and each re-cover step drops the area by removing deg(v)
+    faces and adding deg(v) - 2.
+    """
+    if v in d.boundary_vertices():
+        raise DiagramError("vertex is on the boundary")
+    fan = []
+    for fi, face in enumerate(d.faces):
+        if any(_side_tail(d, s) == v for s in face):
+            fan.append(fi)
+    deg = len(fan)
+    if deg not in (3, 4, 5):
+        raise DiagramError("vertex degree %d is not 3, 4, or 5" % deg)
+    # orient each fan face around its corner at v
+    corner = {}
+    by_in_edge = {}
+    for fi in fan:
+        face = d.faces[fi]
+        k = next(i for i in range(3) if _side_head(d, face[i]) == v)
+        s_in, s_out, s_per = face[k], face[(k + 1) % 3], face[(k + 2) % 3]
+        corner[fi] = (s_in, s_out, s_per)
+        by_in_edge[s_in[0]] = fi
+    chain = [fan[0]]
+    while len(chain) < deg:
+        out_edge = corner[chain[-1]][1][0]
+        chain.append(by_in_edge[out_edge])
+    # after the shift, chain[i] walks rim[i] -> v -> rim[i+1]; its third
+    # side runs rim[i+1] -> rim[i], the freed side of that hole edge
+    rim = [_side_head(d, corner[fi][1]) for fi in chain]
+    sigma = [d.side_label(corner[fi][1]) for fi in chain]
+    rim = rim[-1:] + rim[:-1]
+    sigma = sigma[-1:] + sigma[:-1]
+    per_side = [corner[fi][2] for fi in chain]
+    pi = []
+    for i in range(deg):
+        q = p.table[p.inv[sigma[i]]][sigma[(i + 1) % deg]]
+        if q == UNDEF:
+            raise DiagramError("fan quotient undefined; diagram is inconsistent")
+        pi.append(q)
+    spoke_edges = {corner[fi][0][0] for fi in chain}
+    new_edges = list(d.edges)
+    new_faces = [f for i, f in enumerate(d.faces) if i not in set(fan)]
+    # hole entries: (tail rim vertex, head rim vertex, quotient, freed side head->tail)
+    hole = [(rim[i], rim[(i + 1) % deg], pi[i], per_side[i]) for i in range(deg)]
+    while len(hole) > 3:
+        n_h = len(hole)
+        cut = -1
+        for k in range(n_h):
+            if p.table[hole[k][2]][hole[(k + 1) % n_h][2]] != UNDEF:
+                cut = k
+                break
+        if cut == -1:
+            raise DiagramError("no short-cycle witness for the hole")
+        k1, k2 = hole[cut], hole[(cut + 1) % n_h]
+        delta = p.table[k1[2]][k2[2]]
+        if k1[0] == k2[1]:
+            raise DiagramError("degenerate re-triangulation")
+        eid = len(new_edges)
+        new_edges.append((k1[0], k2[1], delta))
+        new_faces.append((k2[3], k1[3], (eid, True)))
+        merged = (k1[0], k2[1], delta, (eid, False))
+        rest = [hole[(cut + 1 + i) % n_h] for i in range(1, n_h - 1)]
+        hole = [merged] + rest
+    if len({hole[0][0], hole[1][0], hole[2][0]}) != 3:
+        raise DiagramError("degenerate re-triangulation")
+    if p.table[hole[0][2]][hole[1][2]] != p.inv[hole[2][2]]:
+        raise DiagramError("no short-cycle witness for the hole")
+    new_faces.append((hole[2][3], hole[1][3], hole[0][3]))
+    return _reference_rebuild(
+        p, d.n_vertices, new_edges, new_faces, list(d.boundary), {v}, spoke_edges
+    )
+
+
 def reference_find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagram]:
     """Smallest diagram whose boundary reads w up to rotation/inversion.
 

@@ -85,12 +85,14 @@ def test_negative_counts_are_usage_errors(argv):
 
 def test_cli_import_leaves_diagrams_unloaded():
     """Nor does any preekit module load dataclasses, inspect or typing, which
-    cost a cold process several milliseconds; -S keeps site hooks from
-    loading them."""
+    cost a cold process several milliseconds, or random, which diagrams
+    names only in an annotation; -S keeps site hooks from loading them."""
     script = (
         "import sys, preekit.cli\n"
         "assert 'preekit.diagrams' not in sys.modules\n"
         "assert not {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\n"
+        "import preekit.diagrams\n"
+        "assert 'random' not in sys.modules\n"
         "import preekit\n"
         "ns = {}\n"
         "exec('from preekit import *', ns)\n"

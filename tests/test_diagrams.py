@@ -10,13 +10,14 @@ import random
 
 import pytest
 
-from conftest import random_words, solver_tables
+from conftest import a2_fano_pree, free_product_pree, random_words, solver_tables
 from oracles import (
     forward_min_area,
     reference_canonical,
     reference_diagram_from_strip,
     reference_diagram_stats,
     reference_fan_diagram,
+    reference_reduce_internal_vertex,
     zxz_vector,
 )
 from preekit.diagrams import (
@@ -217,10 +218,10 @@ def _spoke_tuples(zxz, s3, z6, q8):
                 yield p, list(spokes)
 
 
-def _attempt(build, p, spokes):
-    """The fan, or the message it was refused with."""
+def _attempt(build, *args):
+    """The diagram built, or the message it was refused with."""
     try:
-        return build(p, spokes), None
+        return build(*args), None
     except DiagramError as exc:
         return None, str(exc)
 
@@ -251,6 +252,65 @@ def test_reduce_internal_vertex_on_every_small_fan(zxz, s3, z6, q8):
         assert d2.n_vertices == d.n_vertices - 1
         assert reference_canonical(p, d2.boundary_word()) == reference_canonical(p, d.boundary_word())
         assert curvature_check(d2)[2]
+
+
+def _repeats_a_neighbour(d, v):
+    around = [a if b == v else b for a, b, _ in d.edges if v in (a, b)]
+    return len(set(around)) < len(around)
+
+
+def test_reduce_internal_vertex_covers_the_reference_on_grown_diagrams(zxz, s3, z6, q8):
+    """Every internal vertex of degree 3 to 5 in 200 grown diagrams per
+    table.  Wherever the reference's first ear would join a vertex to
+    itself, the folds try the other orders of ears."""
+    counts = {}
+    tables = [("zxz", zxz), ("s3", s3), ("z6", z6), ("q8", q8), ("A2", a2_fano_pree()),
+              ("FP2", free_product_pree(zxz))]
+    for name, p in tables:
+        rng = random.Random(7)
+        tried = by_reference = reduced = 0
+        for _ in range(200):
+            d = grow_random(p, rng, rng.randrange(3, 25))
+            deg = d.degrees()
+            for v in d.internal_vertices():
+                if deg[v] not in (3, 4, 5):
+                    continue
+                tried += 1
+                ref, ref_why = _attempt(reference_reduce_internal_vertex, p, d, v)
+                got, why = _attempt(reduce_internal_vertex, p, d, v)
+                assert ref_why in (None, "degenerate re-triangulation")
+                by_reference += ref is not None
+                if got is None:
+                    assert ref is None and why == "no re-triangulation of the hole"
+                    assert _repeats_a_neighbour(d, v)
+                    continue
+                reduced += 1
+                assert got.area == d.area - 2
+                assert got.n_vertices == d.n_vertices - 1
+                assert got.boundary_word() == d.boundary_word()
+        counts[name] = (tried, by_reference, reduced)
+    assert counts == {
+        "zxz": (326, 273, 307),
+        "s3": (421, 377, 421),
+        "z6": (421, 377, 421),
+        "q8": (398, 353, 398),
+        "A2": (312, 245, 272),
+        "FP2": (305, 236, 282),
+    }
+
+
+def test_reduce_internal_vertex_with_a_pinched_link(zxz):
+    """The first diagram of the zxz sample above: vertex 1 has two spokes
+    to one neighbour, and the reference's first ear joins that neighbour to
+    itself."""
+    rng = random.Random(7)
+    d = grow_random(zxz, rng, rng.randrange(3, 25))
+    assert _repeats_a_neighbour(d, 1)
+    with pytest.raises(DiagramError, match="degenerate re-triangulation"):
+        reference_reduce_internal_vertex(zxz, d, 1)
+    d2 = reduce_internal_vertex(zxz, d, 1)
+    assert (d2.area, d2.n_vertices) == (d.area - 2, d.n_vertices - 1)
+    assert d2.boundary_word() == d.boundary_word()
 
 
 def test_tampered_strip_witness_is_refused():

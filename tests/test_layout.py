@@ -1,9 +1,12 @@
 """The repository's layout: shared test code lives in ``conftest.py`` and
-``oracles.py``, and the README's library example runs."""
+``oracles.py``, and the README's library example and CLI transcripts run."""
 
 import ast
 import os
 import re
+import shlex
+
+from conftest import _run
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -33,3 +36,15 @@ def test_readme_library_example_runs(monkeypatch):
     assert len(blocks) == 1
     monkeypatch.chdir(ROOT)
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_cli_transcripts_replay(monkeypatch):
+    """Each fenced block that starts with ``$ preekit`` exits 0 and prints
+    the rest of the block."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```\n\$ preekit (.*?)\n(.*?)^```", fh.read(), re.S | re.M)
+    assert len(blocks) == 4
+    monkeypatch.chdir(ROOT)
+    for command, shown in blocks:
+        code, out, _ = _run(shlex.split(command))
+        assert (code, out) == (0, shown), command
