@@ -5,8 +5,11 @@ forward direction (the reverse side reads the inverse), every face is a
 triangle of three sides whose labels multiply to the identity through a
 defined product, and the leftover sides form the outer boundary.  Each
 edge side is used exactly once, so orientation consistency is forced.
-Validation re-checks the full invariant set on every construction, and
-the Euler relation plus connectivity rule out non-disc gluings.
+A Diagram validates itself once, on construction: every side, of a face
+or of the boundary, is (edge id in range(len(edges)), bool) and no side
+is used twice or left unused; faces read relators around three distinct
+vertices, the boundary is a simple closed walk, and the Euler relation,
+connectivity and the curvature identity rule out non-disc gluings.
 
 Side convention: a side is (edge_id, forward); (e, True) runs u -> v
 reading the stored label, (e, False) runs v -> u reading its inverse.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import heapq
 
 from .pree import TYPE_CHECKING, UNDEF, Pree, PreeError, Record
-from .words import Word, StripWitness, inverse_word, render_word
+from .words import Word, StripWitness, render_word
 from .group import abelian_obstruction
 
 if TYPE_CHECKING:
@@ -99,11 +102,21 @@ class Diagram:
                 raise DiagramError("edge endpoint out of range")
             if not (0 <= lab < p.size):
                 raise DiagramError("edge label out of range")
-        used: set[Side] = set()
-        for f in self.faces:
-            if len(f) != 3:
-                raise DiagramError("face is not a triangle")
-            (u1, v1, l1), (u2, v2, l2), (u3, v3, l3) = [_oriented(p, self.edges, s) for s in f]
+        if any(len(f) != 3 for f in self.faces):
+            raise DiagramError("face is not a triangle")
+        sides = [s for f in self.faces for s in f] + list(self.boundary)
+        m = len(self.edges)
+        for s in sides:
+            if not (type(s) is tuple and len(s) == 2 and type(s[0]) is int
+                    and 0 <= s[0] < m and type(s[1]) is bool):
+                raise DiagramError("side %r names no edge" % (s,))
+        if len(set(sides)) != len(sides):
+            raise DiagramError("edge side used twice")
+        if len(sides) != 2 * m:
+            raise DiagramError("unused edge side")
+        walk = [_oriented(p, self.edges, s) for s in sides]
+        for k in range(0, 3 * len(self.faces), 3):
+            (u1, v1, l1), (u2, v2, l2), (u3, v3, l3) = walk[k : k + 3]
             if len({u1, u2, u3}) != 3:
                 raise DiagramError("face vertices not distinct")
             if (v1, v2, v3) != (u2, u3, u1):
@@ -120,24 +133,14 @@ class Diagram:
                 raise DiagramError(
                     "face labels are not a relator: " + " ".join(p.name(x) for x in labs)
                 )
-            for s in f:
-                if s in used:
-                    raise DiagramError("edge side used twice")
-                used.add(s)
         if len(self.boundary) < 2:
             raise DiagramError("boundary shorter than 2")
-        walk = [_oriented(p, self.edges, s) for s in self.boundary]
-        bverts = [u for u, _, _ in walk]
+        bwalk = walk[3 * len(self.faces) :]
+        bverts = [u for u, _, _ in bwalk]
         if len(set(bverts)) != len(bverts):
             raise DiagramError("boundary is not simple")
-        if [v for _, v, _ in walk] != bverts[1:] + bverts[:1]:
+        if [v for _, v, _ in bwalk] != bverts[1:] + bverts[:1]:
             raise DiagramError("boundary walk does not close")
-        for s in self.boundary:
-            if s in used:
-                raise DiagramError("edge side used twice")
-            used.add(s)
-        if len(used) != 2 * len(self.edges):
-            raise DiagramError("unused edge side")
         deg = self.degrees()
         if any(d < 2 for d in deg):
             raise DiagramError("vertex of degree < 2")
@@ -407,34 +410,29 @@ def diagram_stats(d: Diagram) -> DiagramStats:
 
 
 def grow_random(p: Pree, rng: Random, target_area: int) -> Diagram:
-    """Random diagram built by attaching triangles one at a time."""
+    """Random diagram grown on raw parts one triangle at a time: a fold,
+    with chance 0.35 where one is defined and does not pinch, else a split
+    of a random side; one Diagram is built at the end."""
     pairs = list(p.defined_pairs())
     a, b, _ = pairs[rng.randrange(len(pairs))]
-    d = single_triangle(p, a, b)
+    parts = _triangle_parts(p, a, b)
     fact = p.factorizations
     guard = 0
-    while d.area < target_area and guard < 200 * target_area:
+    while len(parts[2]) < target_area and guard < 200 * target_area:
         guard += 1
-        n = len(d.boundary)
-        folds = []
-        if n >= 3:
-            for q in range(n):
-                x = d.side_label(d.boundary[q])
-                y = d.side_label(d.boundary[(q + 1) % n])
-                if p.table[x][y] != UNDEF:
-                    folds.append(q)
+        labels = [_oriented(p, parts[1], s)[2] for s in parts[3]]
+        n = len(labels)
+        folds = [q for q in range(n) if p.table[labels[q]][labels[(q + 1) % n]] != UNDEF] if n >= 3 else []
         if folds and rng.random() < 0.35:
-            q = folds[rng.randrange(len(folds))]
             try:
-                d = attach_triangle(d, q)
+                parts = _fold(p, parts, folds[rng.randrange(len(folds))])
                 continue
             except DiagramError:
                 pass
         q = rng.randrange(n)
-        x = d.side_label(d.boundary[q])
-        e, f = fact[x][rng.randrange(len(fact[x]))]
-        d = attach_triangle(d, q, (e, f))
-    return d
+        fs = fact[labels[q]]
+        parts = _split(p, parts, q, *fs[rng.randrange(len(fs))])
+    return Diagram(p, *parts)
 
 
 def _canonical(inv: dict[int, int], w: str) -> str:
@@ -483,18 +481,6 @@ def _diagram_moves(p: Pree) -> tuple[dict, dict, dict, dict]:
     return p.derived("diagram_moves", build)
 
 
-def _triangle_reading(p: Pree, rep: Word) -> Word | None:
-    if len(rep) != 3:
-        return None
-    for t in (rep, inverse_word(p, rep)):
-        for r in range(3):
-            x1, x2, x3 = t[r], t[(r + 1) % 3], t[(r + 2) % 3]
-            c = p.table[x1][x2]
-            if c != UNDEF and c == p.inv[x3]:
-                return (x1, x2, x3)
-    return None
-
-
 def _first_reading(inv: dict[int, int], fwd: str, exact: str) -> tuple[int, int]:
     """Start and direction of the first of Diagram.readings() spelling exact.
 
@@ -530,13 +516,17 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Diagram | None
     the parent, and w the diagram, of an eager search.  Words are coded as
     str (see _canonical).  A triangle child reads its key from the table
     of triangle readings; with no room left, any other child is dropped
-    without a _canonical call.  The path found is replayed on raw diagram
-    parts, from those of the goal's triangle, by the split and fold of
-    attach_triangle, each step finding its reading by str.find, and the
-    one Diagram built at the end validates itself.
+    without a _canonical call.  The search refuses an invalid table: on a
+    valid one the table is closed, so every triangle word, the goal too,
+    reads x1 x2 = x3^-1 from its first letter.  The path found is replayed
+    on raw diagram parts, from those of the goal's own triangle, by the
+    split and fold of attach_triangle, each step finding its reading by
+    str.find, and the one Diagram built at the end validates itself.
     """
     if len(w) < 2:
         raise PreeError("boundary word needs length >= 2")
+    if not p.validation.ok:
+        raise PreeError("the diagram search needs a valid table: " + p.validation.problems[0])
     if max_area < 1:
         return None
     if not abelian_obstruction(p).might_be_identity(w):
@@ -593,8 +583,7 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Diagram | None
     if goal is None:
         return None
 
-    x1, x2, x3 = _triangle_reading(p, tuple(map(ord, goal)))
-    parts = _triangle_parts(p, x1, x2)
+    parts = _triangle_parts(p, ord(goal[0]), ord(goal[1]))
     node = goal
     while node != start:
         parent, (kind, i), exact = parents[node]

@@ -255,12 +255,13 @@ def cayley_ball(p: Pree, radius: int, method: str = "dehn") -> CayleyBall:
 
 
 class _Build:
-    """A table's breadth-first build: elements in layer order, the step rows
-    of the layers below ``radius``, the frontier, and the identify lookups."""
+    """A table's breadth-first build: elements in layer order, their parents,
+    the step rows below ``radius``, the frontier, and the identify lookups."""
 
     def __init__(self, p: Pree):
         self.reps: list[Word] = [()]
         self.dist: list[int] = [0]
+        self.parent: list[int] = [-1]
         self.rows: list[list[int]] = []
         self.frontier = [0]
         self.radius = 0
@@ -296,7 +297,7 @@ def _grown(p: Pree, radius: int, method: str) -> _Build:
     b = builds.pop(method, None) or _Build(p)
     obs = abelian_obstruction(p)
     gens = p.nonidentity()
-    reps, dist, buckets, by_reduced = b.reps, b.dist, b.buckets, b.by_reduced
+    reps, dist, parent, buckets, by_reduced = b.reps, b.dist, b.parent, b.buckets, b.by_reduced
 
     def identify(w: Word) -> tuple[int | None, Word]:
         rw = irreducible_form(p, w)
@@ -320,6 +321,7 @@ def _grown(p: Pree, radius: int, method: str) -> _Build:
                     t = len(reps)
                     reps.append(w)
                     dist.append(layer)
+                    parent.append(e)
                     buckets.setdefault(obs.residue(rw), []).append(t)
                     by_reduced[rw] = t
                     new.append(t)
@@ -359,10 +361,7 @@ def _snapshot(p: Pree, b: _Build, radius: int) -> CayleyBall:
     # x * e = (x * parent) * h; at the root, x * 1 = 1 * x.
     left_rows = [list(step[0])] + [[-1] * p.size for _ in range(n - 1)]
     for e in range(1, n):
-        parent_word, h = b.reps[e][:-1], b.reps[e][-1]
-        pe = 0
-        for y in parent_word:
-            pe = step[pe][y]
+        pe, h = b.parent[e], b.reps[e][-1]
         for x in p.elements():
             xp = left_rows[pe][x]
             left_rows[e][x] = -1 if xp == -1 else step[xp][h]

@@ -18,7 +18,6 @@ from preekit.diagrams import (
     Diagram,
     DiagramError,
     DiagramStats,
-    _triangle_reading,
     attach_triangle,
     single_triangle,
 )
@@ -795,6 +794,49 @@ def reference_reduce_internal_vertex(p: Pree, d: Diagram, v: int) -> Diagram:
     return _reference_rebuild(
         p, d.n_vertices, new_edges, new_faces, list(d.boundary), {v}, spoke_edges
     )
+
+
+def reference_grow_random(p: Pree, rng, target_area: int) -> Diagram:
+    """Random diagram built by attaching triangles one at a time."""
+    pairs = list(p.defined_pairs())
+    a, b, _ = pairs[rng.randrange(len(pairs))]
+    d = single_triangle(p, a, b)
+    fact = p.factorizations
+    guard = 0
+    while d.area < target_area and guard < 200 * target_area:
+        guard += 1
+        n = len(d.boundary)
+        folds = []
+        if n >= 3:
+            for q in range(n):
+                x = d.side_label(d.boundary[q])
+                y = d.side_label(d.boundary[(q + 1) % n])
+                if p.table[x][y] != UNDEF:
+                    folds.append(q)
+        if folds and rng.random() < 0.35:
+            q = folds[rng.randrange(len(folds))]
+            try:
+                d = attach_triangle(d, q)
+                continue
+            except DiagramError:
+                pass
+        q = rng.randrange(n)
+        x = d.side_label(d.boundary[q])
+        e, f = fact[x][rng.randrange(len(fact[x]))]
+        d = attach_triangle(d, q, (e, f))
+    return d
+
+
+def _triangle_reading(p: Pree, rep: Word) -> Word | None:
+    if len(rep) != 3:
+        return None
+    for t in (rep, inverse_word(p, rep)):
+        for r in range(3):
+            x1, x2, x3 = t[r], t[(r + 1) % 3], t[(r + 2) % 3]
+            c = p.table[x1][x2]
+            if c != UNDEF and c == p.inv[x3]:
+                return (x1, x2, x3)
+    return None
 
 
 def reference_find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Optional[Diagram]:

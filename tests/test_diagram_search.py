@@ -17,7 +17,7 @@ import pytest
 from conftest import a2_fano_pree, dihedral_subtable, free_product_pree, load_fixture, solver_and_cycle_tables
 from oracles import reference_canonical, reference_find_minimal_diagram
 from preekit.diagrams import _canonical, _diagram_moves, _first_reading, find_minimal_diagram, grow_random
-from preekit.pree import UNDEF
+from preekit.pree import UNDEF, PreeError
 from preekit.words import inverse_word, parse_word
 
 
@@ -143,7 +143,8 @@ READINGS_TABLES = solver_and_cycle_tables() + [
 def test_triangle_readings_table(name, p):
     """The readings table holds exactly the 3-letter words, over all |P|^3,
     that some rotation or direction reads as x1 x2 x3 with x1 x2 = x3^-1,
-    each mapped to its canonical word."""
+    each mapped to its canonical word.  On a valid table every such word
+    reads so from its first letter, which the search's replay relies on."""
     inv, want = dict(enumerate(p.inv)), {}
     for w in itertools.product(range(p.size), repeat=3):
         readings = [t[r:] + t[:r] for t in (w, tuple(p.inv[a] for a in reversed(w))) for r in range(3)]
@@ -152,6 +153,17 @@ def test_triangle_readings_table(name, p):
             want[coded] = _canonical(inv, coded)
     assert 0 < len(want) < p.size ** 3
     assert _diagram_moves(p)[3] == want
+    if p.validation.ok:
+        assert all(p.table[ord(k[0])][ord(k[1])] == p.inv[ord(k[2])] for k in want)
+
+
+def test_search_refuses_an_invalid_table():
+    p = load_fixture("broken_closure")
+    problem = p.validation.problems[0]
+    a = p.nonidentity()[0]
+    with pytest.raises(PreeError, match="needs a valid table") as err:
+        find_minimal_diagram(p, (a, p.inv[a]))
+    assert problem in str(err.value)
 
 
 def assert_first_readings(p, d):

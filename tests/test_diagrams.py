@@ -17,6 +17,7 @@ from oracles import (
     reference_diagram_from_strip,
     reference_diagram_stats,
     reference_fan_diagram,
+    reference_grow_random,
     reference_reduce_internal_vertex,
     zxz_vector,
 )
@@ -113,13 +114,40 @@ def test_attach_rejects_fold_of_a_digon(zxz):
 
 def test_fold_rejects_a_pinch(zxz):
     """A validated diagram has a simple boundary, so a fold on three or
-    more sides never pinches it; the raw parts that find_minimal_diagram
-    folds between validations can, and the fold itself must refuse."""
+    more sides never pinches it; the raw parts that grow_random and
+    find_minimal_diagram fold before they validate can, and the fold itself
+    must refuse."""
     a = zxz.id_of("(1,0)")
     edges = ((0, 1, a), (1, 0, zxz.inv[a]), (0, 1, a))
     parts = (2, edges, (), ((0, True), (1, True), (2, True)))
     with pytest.raises(DiagramError, match="fold would pinch the boundary"):
         _fold(zxz, parts, 0)
+
+
+def test_a_side_that_names_no_edge_is_refused(zxz):
+    """A negative id, an id past the end and a direction that is not a bool
+    each alias or miss a real edge side; validation refuses all three, on a
+    face and on the boundary."""
+    d = single_triangle(zxz, 1, 3)
+    (face,) = d.faces
+    for bad in ((-1, False), (len(d.edges), True), (0, 2)):
+        on_face = ((bad,) + face[1:],)
+        on_boundary = (bad,) + d.boundary[1:]
+        for faces, boundary in ((on_face, d.boundary), (d.faces, on_boundary)):
+            with pytest.raises(DiagramError, match="names no edge"):
+                Diagram(zxz, d.n_vertices, d.edges, faces, boundary)
+
+
+def test_grow_random_matches_the_reference(zxz, s3, q8):
+    """The grower on raw parts makes the same moves, from the same random
+    draws, as the one that attached and validated triangle by triangle."""
+    for p in (zxz, s3, q8, free_product_pree(zxz), a2_fano_pree()):
+        for seed in range(20):
+            for area in range(1, 25):
+                d = grow_random(p, random.Random(seed), area)
+                ref = reference_grow_random(p, random.Random(seed), area)
+                assert (d.n_vertices, d.edges, d.faces, d.boundary) == (
+                    ref.n_vertices, ref.edges, ref.faces, ref.boundary), (p.names, seed, area)
 
 
 def test_curvature_identity_on_random_diagrams(zxz, s3, q8):
@@ -167,6 +195,7 @@ def test_each_build_validates_once(zxz, monkeypatch):
         "fan": lambda: fan_diagram(zxz, hexagon),
         "triangle": lambda: single_triangle(zxz, x, y),
         "attach": lambda: attach_triangle(t, 0, zxz.factorizations[x][0]),
+        "grow": lambda: grow_random(zxz, random.Random(3), 20),
     }
     validated = []
     validate = Diagram._validate
