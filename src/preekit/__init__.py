@@ -21,13 +21,6 @@ from .group import (
     verify_short_identities,
     verify_surjectivity,
 )
-from .fsa import (
-    FiniteAutomaton,
-    combing_acceptor,
-    geodesic_acceptor,
-    strip_reduction_pair_recognizer,
-    word_difference_machine,
-)
 
 __all__ = [
     "Pree",
@@ -60,10 +53,19 @@ __all__ = [
 ]
 
 
+_LAZY = {
+    "fsa": ("FiniteAutomaton", "combing_acceptor", "geodesic_acceptor",
+            "strip_reduction_pair_recognizer", "word_difference_machine"),
+    "diagrams": ("Diagram", "curvature_check", "diagram_stats", "find_minimal_diagram"),
+}
+
+
 def __getattr__(name: str):
-    """Import diagrams on first use, so the word and verify commands never load it."""
-    if name == "diagrams" or name in ("Diagram", "curvature_check", "diagram_stats", "find_minimal_diagram"):
-        # not "from . import diagrams", which would call this hook again
-        diagrams = importlib.import_module(".diagrams", __name__)
-        return diagrams if name == "diagrams" else getattr(diagrams, name)
+    """Import fsa and diagrams on first use, so that a command which needs
+    neither never loads them."""
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            # not "from . import fsa", which would call this hook again
+            mod = importlib.import_module("." + module, __name__)
+            return mod if name == module else getattr(mod, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

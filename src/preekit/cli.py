@@ -26,14 +26,6 @@ from .group import (
     verify_short_identities,
     verify_surjectivity,
 )
-from .fsa import (
-    combing_acceptor,
-    fsa_to_dot,
-    fsa_to_text,
-    geodesic_acceptor,
-    render_symbol,
-    strip_reduction_pair_recognizer,
-)
 
 
 class _Exit(Exception):
@@ -191,6 +183,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_comb(args) -> int:
+    # the automaton commands import fsa here, so that the others never load it
+    from .fsa import combing_acceptor
     p = _load_valid(args.pree)
     acc = combing_acceptor(p)
     words = acc.enumerate_words(args.enumerate)
@@ -225,6 +219,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_fellow(args) -> int:
+    from .fsa import combing_acceptor
     p = _load_valid(args.pree)
     rep = fellow_traveler_check(p, combing_acceptor(p), args.radius, args.k)
     if args.format == "records":
@@ -280,6 +275,10 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_export_fsa(args) -> int:
+    from .fsa import (
+        combing_acceptor, fsa_to_dot, fsa_to_text, geodesic_acceptor, render_symbol,
+        strip_reduction_pair_recognizer,
+    )
     p = _load_valid(args.pree)
     if args.which == "geodesic":
         m = geodesic_acceptor(p)
@@ -321,6 +320,7 @@ def cmd_verify(args) -> int:
     rows.append(("axiom-5-cycles", w5 is None, "" if w5 is None else w5.render(p)))
     rows.append(_verify_row("embedding", verify_embedding(p)))
     if axioms_hold(p):
+        from .fsa import combing_acceptor
         rows.append(_verify_row("short-identity-reducibility", verify_short_identities(p)))
         language = combing_acceptor(p)
         rows.append(_verify_row("combing-surjectivity", verify_surjectivity(p, language, 6)))

@@ -5,11 +5,14 @@ forward direction (the reverse side reads the inverse), every face is a
 triangle of three sides whose labels multiply to the identity through a
 defined product, and the leftover sides form the outer boundary.  Each
 edge side is used exactly once, so orientation consistency is forced.
-A Diagram validates itself once, on construction: every side, of a face
-or of the boundary, is (edge id in range(len(edges)), bool) and no side
-is used twice or left unused; faces read relators around three distinct
+A Diagram validates itself once, on construction, in one walk: one loop
+over the edges checks them and builds the degrees and adjacency; every
+side, of a face or of the boundary, is (edge id in range(len(edges)),
+bool), is resolved once, and no side is used twice or left unused; each
+face reads one of the table's relator readings around three distinct
 vertices, the boundary is a simple closed walk, and the Euler relation,
-connectivity and the curvature identity rule out non-disc gluings.
+connectivity and the curvature identity, from those degrees and boundary
+vertices, rule out non-disc gluings.
 
 Side convention: a side is (edge_id, forward); (e, True) runs u -> v
 reading the stored label, (e, False) runs v -> u reading its inverse.
@@ -94,83 +97,92 @@ class Diagram:
         return out
 
     def _validate(self) -> None:
-        p = self.pree
-        if self.n_vertices < 2:
+        p, n, edges, faces, boundary = self.pree, self.n_vertices, self.edges, self.faces, self.boundary
+        if n < 2:
             raise DiagramError("too few vertices")
-        for u, v, lab in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v, lab in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise DiagramError("edge endpoint out of range")
             if not (0 <= lab < p.size):
                 raise DiagramError("edge label out of range")
-        if any(len(f) != 3 for f in self.faces):
+            adj[u].append(v)
+            adj[v].append(u)
+        if any(len(f) != 3 for f in faces):
             raise DiagramError("face is not a triangle")
-        sides = [s for f in self.faces for s in f] + list(self.boundary)
-        m = len(self.edges)
+        sides = [s for f in faces for s in f] + list(boundary)
+        m, inv = len(edges), p.inv
+        walk = []
         for s in sides:
             if not (type(s) is tuple and len(s) == 2 and type(s[0]) is int
                     and 0 <= s[0] < m and type(s[1]) is bool):
                 raise DiagramError("side %r names no edge" % (s,))
+            u, v, lab = e = edges[s[0]]
+            walk.append(e if s[1] else (v, u, inv[lab]))
         if len(set(sides)) != len(sides):
             raise DiagramError("edge side used twice")
         if len(sides) != 2 * m:
             raise DiagramError("unused edge side")
-        walk = [_oriented(p, self.edges, s) for s in sides]
-        for k in range(0, 3 * len(self.faces), 3):
-            (u1, v1, l1), (u2, v2, l2), (u3, v3, l3) = walk[k : k + 3]
-            if len({u1, u2, u3}) != 3:
+        relators, k = _relators(p), 3 * len(faces)
+        it = iter(walk[:k])
+        for (u1, v1, l1), (u2, v2, l2), (u3, v3, l3) in zip(it, it, it):
+            if u1 == u2 or u2 == u3 or u3 == u1:
                 raise DiagramError("face vertices not distinct")
-            if (v1, v2, v3) != (u2, u3, u1):
+            if v1 != u2 or v2 != u3 or v3 != u1:
                 raise DiagramError("face walk does not close")
-            labs = [l1, l2, l3]
-            ok = False
-            for r in range(3):
-                x1, x2, x3 = labs[r], labs[(r + 1) % 3], labs[(r + 2) % 3]
-                c = p.table[x1][x2]
-                if c != UNDEF and c == p.inv[x3]:
-                    ok = True
-                    break
-            if not ok:
+            if (l1, l2, l3) not in relators:
                 raise DiagramError(
-                    "face labels are not a relator: " + " ".join(p.name(x) for x in labs)
+                    "face labels are not a relator: " + " ".join(p.name(x) for x in (l1, l2, l3))
                 )
-        if len(self.boundary) < 2:
+        if len(boundary) < 2:
             raise DiagramError("boundary shorter than 2")
-        bwalk = walk[3 * len(self.faces) :]
+        bwalk = walk[k:]
         bverts = [u for u, _, _ in bwalk]
         if len(set(bverts)) != len(bverts):
             raise DiagramError("boundary is not simple")
         if [v for _, v, _ in bwalk] != bverts[1:] + bverts[:1]:
             raise DiagramError("boundary walk does not close")
-        deg = self.degrees()
-        if any(d < 2 for d in deg):
+        deg = list(map(len, adj))
+        if min(deg) < 2:
             raise DiagramError("vertex of degree < 2")
-        if self.n_vertices - len(self.edges) + len(self.faces) != 1:
+        if n - m + len(faces) != 1:
             raise DiagramError("Euler relation fails")
-        adj: dict[int, list[int]] = {}
-        for u, v, _ in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
         seen = {0}
         stack = [0]
         while stack:
-            for w in adj.get(stack.pop(), ()):
+            for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if len(seen) != self.n_vertices:
+        if len(seen) != n:
             raise DiagramError("diagram is not connected")
-        lhs, rhs, equal = curvature_check(self)
+        lhs, rhs, equal = _curvature(deg, bverts)
         if not equal:
             raise DiagramError("curvature identity fails: %d != %d" % (lhs, rhs))
 
 
+def _curvature(deg: list[int], bverts: list[int]) -> tuple[int, int, bool]:
+    """Both sides of the identity sum over boundary vertices of (4 - deg)
+    = 6 + sum over internal vertices of (deg - 6), from the degrees."""
+    on_b = set(bverts)
+    bdeg = sum([deg[v] for v in on_b])
+    lhs = 4 * len(on_b) - bdeg
+    rhs = 6 + sum(deg) - bdeg - 6 * (len(deg) - len(on_b))
+    return lhs, rhs, lhs == rhs
+
+
 def curvature_check(d: Diagram) -> tuple[int, int, bool]:
     """Both sides of the boundary/internal degree identity."""
-    deg = d.degrees()
-    on_b = set(d.boundary_vertices())
-    lhs = sum(4 - deg[v] for v in on_b)
-    rhs = 6 + sum(deg[v] - 6 for v in range(d.n_vertices) if v not in on_b)
-    return lhs, rhs, lhs == rhs
+    return _curvature(d.degrees(), d.boundary_vertices())
+
+
+def _relators(p: Pree) -> set[tuple[int, int, int]]:
+    """The relator readings, built once per table: every (x1, x2, x3)
+    with x1*x2 = x3^-1 defined, and its other two rotations."""
+    return p.derived("relators", lambda: {
+        r for x3, c in enumerate(p.inv) for x1, x2 in p.factorizations[c]
+        for r in ((x1, x2, x3), (x2, x3, x1), (x3, x1, x2))
+    })
 
 
 def single_triangle(p: Pree, a: int, b: int) -> Diagram:
@@ -461,8 +473,8 @@ def _diagram_moves(p: Pree) -> tuple[dict, dict, dict, dict]:
 
     The inverse as a translate map, the product of each defined
     two-letter word, each letter's two-letter factorizations in id order,
-    and the triangle readings: each of the six readings (three rotations,
-    two directions) of every triangle word, mapped to its canonical word.
+    and the triangle readings: each relator reading and its inverse,
+    mapped to their canonical word.
     """
 
     def build():
@@ -470,12 +482,9 @@ def _diagram_moves(p: Pree) -> tuple[dict, dict, dict, dict]:
         prod = {chr(a) + chr(b): chr(c) for a, b, c in p.defined_pairs()}
         fact = {chr(c): [chr(a) + chr(b) for a, b in fs] for c, fs in enumerate(p.factorizations)}
         triangles = {}
-        for ab, c in prod.items():
-            t = ab + chr(p.inv[ord(c)])
-            rep = _canonical(inv, t)
-            for u in (t, t.translate(inv)[::-1]):
-                for r in range(3):
-                    triangles[u[r:] + u[:r]] = rep
+        for r in _relators(p):
+            t = "".join(map(chr, r))
+            triangles[t] = triangles[t.translate(inv)[::-1]] = _canonical(inv, t)
         return inv, prod, fact, triangles
 
     return p.derived("diagram_moves", build)
@@ -520,8 +529,9 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Diagram | None
     valid one the table is closed, so every triangle word, the goal too,
     reads x1 x2 = x3^-1 from its first letter.  The path found is replayed
     on raw diagram parts, from those of the goal's own triangle, by the
-    split and fold of attach_triangle, each step finding its reading by
-    str.find, and the one Diagram built at the end validates itself.
+    split and fold of attach_triangle, each step reading the boundary
+    labels off the raw parts and finding its reading by str.find, and the
+    one Diagram built at the end validates itself.
     """
     if len(w) < 2:
         raise PreeError("boundary word needs length >= 2")
@@ -532,13 +542,37 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Diagram | None
     if not abelian_obstruction(p).might_be_identity(w):
         return None
     inv, prod, fact, triangles = _diagram_moves(p)
-
-    def fits(length: int, room: int) -> bool:
-        # a triangle word ends the search, so it may take the last unit of room
-        return max(1, length - 3) <= room or (room == 0 and length == 3)
-
-    def push(g: int, rep: str, children: list) -> None:
-        ng, room = g + 1, max_area - 2 - g
+    start = _canonical(inv, "".join(map(chr, w)))
+    best_g = {start: 0}
+    parents: dict[str, tuple[str, tuple[str, int], str]] = {}
+    heap = [(max(1, len(start) - 3), 0, start)]
+    goal = None
+    while heap:
+        f, g, rep = heapq.heappop(heap)
+        if g < 0:  # the deferred expansions of a popped word, all n + 1 long
+            g, rep = rep
+            room = max_area - 2 - g
+            children = [(("e", i), rep[:i] + ef + rep[i + 1 :]) for i in range(len(rep)) for ef in fact[rep[i]]]
+        else:
+            if g > best_g[rep]:
+                continue
+            n = len(rep)
+            if n == 3 and rep in triangles:
+                goal = rep
+                break
+            # a child k letters long needs max(1, k - 3) units of room, or none
+            # if it is a triangle word: so contractions (n - 1 long) need n - 4,
+            # or 1 from n = 3, and expansions (n + 1 long) need n - 2
+            room, children = max_area - 2 - g, []
+            if n >= 3 and room >= (n - 4 if n > 3 else 1):
+                ring = rep + rep[0]
+                for i in range(n):
+                    c = prod.get(ring[i : i + 2])
+                    if c is not None:
+                        children.append((("c", i), rep[:i] + c + rep[i + 2 :] if i < n - 1 else c + rep[1 : n - 1]))
+            if room >= n - 2:
+                heapq.heappush(heap, (g + n - 1, -1, (g, rep)))
+        ng = g + 1
         for move, child in children:
             cc = triangles.get(child)
             if cc is None:
@@ -550,44 +584,15 @@ def find_minimal_diagram(p: Pree, w: Word, max_area: int = 12) -> Diagram | None
                 best_g[cc] = ng
                 parents[cc] = (rep, move, child)
                 heapq.heappush(heap, (ng + max(1, len(cc) - 3), ng, cc))
-
-    start = _canonical(inv, "".join(map(chr, w)))
-    best_g = {start: 0}
-    parents: dict[str, tuple[str, tuple[str, int], str]] = {}
-    heap = [(max(1, len(start) - 3), 0, start)]
-    goal = None
-    while heap:
-        f, g, rep = heapq.heappop(heap)
-        if g < 0:  # the deferred expansions of a popped word, all n + 1 long
-            g, rep = rep
-            push(g, rep, [(("e", i), rep[:i] + ef + rep[i + 1 :]) for i in range(len(rep)) for ef in fact[rep[i]]])
-            continue
-        if g > best_g[rep]:
-            continue
-        n = len(rep)
-        if n == 3 and rep in triangles:
-            goal = rep
-            break
-        room = max_area - 2 - g
-        # contractions are n - 1 long and expansions n + 1: bound each kind once
-        children = []
-        if n >= 3 and fits(n - 1, room):
-            ring = rep + rep[0]
-            for i in range(n):
-                c = prod.get(ring[i : i + 2])
-                if c is not None:
-                    children.append((("c", i), rep[:i] + c + rep[i + 2 :] if i < n - 1 else c + rep[1 : n - 1]))
-        if fits(n + 1, room):
-            heapq.heappush(heap, (g + n - 1, -1, (g, rep)))
-        push(g, rep, children)
     if goal is None:
         return None
 
     parts = _triangle_parts(p, ord(goal[0]), ord(goal[1]))
-    node = goal
+    node, pinv = goal, p.inv
     while node != start:
         parent, (kind, i), exact = parents[node]
-        fwd = "".join(chr(_oriented(p, parts[1], s)[2]) for s in parts[3])
+        edges = parts[1]
+        fwd = "".join([chr(edges[e][2] if fw else pinv[edges[e][2]]) for e, fw in parts[3]])
         offset, direction = _first_reading(inv, fwd, exact)
         n = len(fwd)
         if kind == "c":  # split the letter that pair i of parent became

@@ -18,6 +18,7 @@ from preekit.diagrams import (
     Diagram,
     DiagramError,
     DiagramStats,
+    _oriented,
     attach_triangle,
     single_triangle,
 )
@@ -1004,3 +1005,81 @@ def reference_diagram_stats(d):
         galleries=galleries,
     )
 
+
+
+def reference_validate(p: Pree, n_vertices: int, edges: tuple, faces: tuple, boundary: tuple) -> None:
+    """Diagram._validate as it was: each side resolved by _oriented, each
+    face's three rotations multiplied in the table, and the degrees and
+    boundary vertices computed again for the curvature identity."""
+    if n_vertices < 2:
+        raise DiagramError("too few vertices")
+    for u, v, lab in edges:
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise DiagramError("edge endpoint out of range")
+        if not (0 <= lab < p.size):
+            raise DiagramError("edge label out of range")
+    if any(len(f) != 3 for f in faces):
+        raise DiagramError("face is not a triangle")
+    sides = [s for f in faces for s in f] + list(boundary)
+    m = len(edges)
+    for s in sides:
+        if not (type(s) is tuple and len(s) == 2 and type(s[0]) is int
+                and 0 <= s[0] < m and type(s[1]) is bool):
+            raise DiagramError("side %r names no edge" % (s,))
+    if len(set(sides)) != len(sides):
+        raise DiagramError("edge side used twice")
+    if len(sides) != 2 * m:
+        raise DiagramError("unused edge side")
+    walk = [_oriented(p, edges, s) for s in sides]
+    for k in range(0, 3 * len(faces), 3):
+        (u1, v1, l1), (u2, v2, l2), (u3, v3, l3) = walk[k : k + 3]
+        if len({u1, u2, u3}) != 3:
+            raise DiagramError("face vertices not distinct")
+        if (v1, v2, v3) != (u2, u3, u1):
+            raise DiagramError("face walk does not close")
+        labs = [l1, l2, l3]
+        ok = False
+        for r in range(3):
+            x1, x2, x3 = labs[r], labs[(r + 1) % 3], labs[(r + 2) % 3]
+            c = p.table[x1][x2]
+            if c != UNDEF and c == p.inv[x3]:
+                ok = True
+                break
+        if not ok:
+            raise DiagramError(
+                "face labels are not a relator: " + " ".join(p.name(x) for x in labs)
+            )
+    if len(boundary) < 2:
+        raise DiagramError("boundary shorter than 2")
+    bwalk = walk[3 * len(faces) :]
+    bverts = [u for u, _, _ in bwalk]
+    if len(set(bverts)) != len(bverts):
+        raise DiagramError("boundary is not simple")
+    if [v for _, v, _ in bwalk] != bverts[1:] + bverts[:1]:
+        raise DiagramError("boundary walk does not close")
+    deg = [0] * n_vertices
+    for u, v, _ in edges:
+        deg[u] += 1
+        deg[v] += 1
+    if any(d < 2 for d in deg):
+        raise DiagramError("vertex of degree < 2")
+    if n_vertices - len(edges) + len(faces) != 1:
+        raise DiagramError("Euler relation fails")
+    adj: dict[int, list[int]] = {}
+    for u, v, _ in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != n_vertices:
+        raise DiagramError("diagram is not connected")
+    on_b = set(bverts)
+    lhs = sum(4 - deg[v] for v in on_b)
+    rhs = 6 + sum(deg[v] - 6 for v in range(n_vertices) if v not in on_b)
+    if lhs != rhs:
+        raise DiagramError("curvature identity fails: %d != %d" % (lhs, rhs))

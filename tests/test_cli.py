@@ -84,13 +84,17 @@ def test_negative_counts_are_usage_errors(argv):
 
 
 def test_cli_import_leaves_diagrams_unloaded():
-    """Nor does any preekit module load dataclasses, inspect or typing, which
+    """Nor fsa, which a verify whose table fails an axiom never loads either.
+    Nor does any preekit module load dataclasses, inspect or typing, which
     cost a cold process several milliseconds, or random, which diagrams
     names only in an annotation; -S keeps site hooks from loading them."""
     script = (
-        "import sys, preekit.cli\n"
-        "assert 'preekit.diagrams' not in sys.modules\n"
+        "import contextlib, io, sys, preekit.cli\n"
+        "assert not {'preekit.diagrams', 'preekit.fsa'} & set(sys.modules)\n"
         "assert not {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert preekit.cli.main(['verify', %r]) == 1\n"
+        "assert 'preekit.fsa' not in sys.modules\n"
         "import preekit.diagrams\n"
         "assert 'random' not in sys.modules\n"
         "import preekit\n"
@@ -98,8 +102,9 @@ def test_cli_import_leaves_diagrams_unloaded():
         "exec('from preekit import *', ns)\n"
         "assert len(preekit.__all__) == 27 and all(n in ns for n in preekit.__all__)\n"
         "assert preekit.diagrams.find_minimal_diagram is ns['find_minimal_diagram']\n"
+        "assert preekit.fsa.combing_acceptor is ns['combing_acceptor']\n"
         "assert not {'dataclasses', 'inspect', 'typing'} & set(sys.modules)\n"
-    )
+    ) % fixture_path("cycle4")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
     got = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)

@@ -19,6 +19,7 @@ from oracles import (
     reference_fan_diagram,
     reference_grow_random,
     reference_reduce_internal_vertex,
+    reference_validate,
     zxz_vector,
 )
 from preekit.diagrams import (
@@ -37,6 +38,7 @@ from preekit.diagrams import (
     reduce_internal_vertex,
     single_triangle,
 )
+from preekit.pree import UNDEF, Pree
 from preekit.words import StripWitness, find_strip, inverse_word, parse_word
 
 
@@ -148,6 +150,65 @@ def test_grow_random_matches_the_reference(zxz, s3, q8):
                 ref = reference_grow_random(p, random.Random(seed), area)
                 assert (d.n_vertices, d.edges, d.faces, d.boundary) == (
                     ref.n_vertices, ref.edges, ref.faces, ref.boundary), (p.names, seed, area)
+
+
+def _corruptions(p, n, edges, faces, boundary):
+    """Fixed corruptions of a diagram's raw parts, each a (name, parts) pair."""
+    i = len(edges) // 2
+    u, v, lab = edges[i]
+    for other in range(p.size):
+        if other != lab:
+            yield "relabel", (n, edges[:i] + ((u, v, other),) + edges[i + 1 :], faces, boundary)
+    (e1, f1), s2, (e3, f3) = faces[0]
+    yield "flip", (n, edges, (((e1, not f1), s2, (e3, f3)),) + faces[1:], boundary)
+    yield "swap", (n, edges, faces, (boundary[1], boundary[0]) + boundary[2:])
+    yield "drop face", (n, edges, faces[:-1], boundary)
+    yield "duplicate", (n, edges, faces, boundary + boundary[:1])
+    yield "endpoint", (n, ((u, n, lab),) + edges[1:], faces, boundary)
+    # the last side of the first face starts at that face's first vertex
+    a, b, lab3 = edges[e3]
+    u1 = edges[e1][0] if f1 else edges[e1][1]
+    yield "pinch", (n, edges[:e3] + ((u1, b, lab3) if f3 else (a, u1, lab3),) + edges[e3 + 1 :], faces, boundary)
+    # a disjoint triangle n, n+1, n+2 labelled as the first three edges, which
+    # grow_random lays around its first face: one face, and its other sides on
+    # the boundary or on a second face
+    m = len(edges)
+    tri = tuple((n + k, n + (k + 1) % 3, edges[k][2]) for k in range(3))
+    inner, outer = ((m, True), (m + 1, True), (m + 2, True)), ((m + 2, False), (m + 1, False), (m, False))
+    yield "disjoint triangle", (n + 3, edges + tri, faces + (inner,), boundary + outer)
+    yield "disjoint sphere", (n + 3, edges + tri, faces + (inner, outer), boundary)
+
+
+def test_validate_matches_the_reference(zxz, s3, q8):
+    """The one-walk validator accepts every grown diagram, as the one it
+    replaced does, and refuses each corruption of it with the same first
+    message, or accepts it too.  A table with a third of its products
+    removed leaves many faces a relator in one rotation only."""
+    seen = set()
+    for p in (zxz, s3, q8, free_product_pree(zxz), a2_fano_pree()):
+        thin = Pree(p.names, p.identity, p.inv, tuple(
+            tuple(c if (a * a + b) % 3 else UNDEF for b, c in enumerate(row)) for a, row in enumerate(p.table)))
+        for seed in range(20):
+            for area in range(1, 17):
+                d = grow_random(p, random.Random(seed), area)
+                parts = (d.n_vertices, d.edges, d.faces, d.boundary)
+                reference_validate(p, *parts)
+                cases = [(p, name, bad) for name, bad in _corruptions(p, *parts)] + [(thin, "thin", parts)]
+                for q, name, bad in cases:
+                    got = want = None
+                    try:
+                        Diagram(q, *bad)
+                    except DiagramError as exc:
+                        got = str(exc)
+                    try:
+                        reference_validate(q, *bad)
+                    except DiagramError as exc:
+                        want = str(exc)
+                    assert got == want, (p.names, seed, area, name)
+                    seen.add(got and got.split(":")[0])
+    assert {"face labels are not a relator", "edge side used twice", "unused edge side",
+            "edge endpoint out of range", "boundary walk does not close", "Euler relation fails",
+            "face vertices not distinct"} <= seen
 
 
 def test_curvature_identity_on_random_diagrams(zxz, s3, q8):
