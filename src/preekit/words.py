@@ -7,7 +7,10 @@ length-(n-1) word through a zigzag of triangles whose interior state is
 a sequence of diagonal letters; its data is a :class:`StripWitness`.
 A word is strongly irreducible when neither move applies, and it is
 geodesic exactly when it is strongly irreducible and not the one-letter
-identity word.
+identity word.  Whether a strip exists is read in one pass: the walk's
+state is the last letter and the mask of the strips still open, and
+``geodesic_step`` stores each state's next mask once per table, where
+``irreducible_form`` and ``is_geodesic_word`` look it up.
 """
 
 from __future__ import annotations
@@ -18,24 +21,25 @@ Word = tuple[int, ...]
 
 
 def parse_word(p: Pree, text: str) -> Word:
-    """Tokenize a word string; parenthesized names may abut without spaces."""
+    """Tokenize a word string.  A chunk between spaces that names an element
+    is that element, so every name ``render_word`` prints reads back; any
+    other chunk splits before each '(' and after its ')', so parenthesized
+    names may abut without spaces."""
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "(":
-            j = text.find(")", i)
-            if j == -1:
-                raise PreeError("unbalanced '(' in word %r" % text)
-            toks.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] != "(":
-                j += 1
-            toks.append(text[i:j])
+    for chunk in text.split():
+        if chunk in p.names:
+            toks.append(chunk)
+            continue
+        i, n = 0, len(chunk)
+        while i < n:
+            if chunk[i] == "(":
+                j = chunk.find(")", i) + 1
+                if not j:
+                    raise PreeError("unbalanced '(' in word %r" % text)
+            else:
+                j = chunk.find("(", i)
+                j = n if j == -1 else j
+            toks.append(chunk[i:j])
             i = j
     if not toks:
         raise PreeError("empty word")
@@ -112,7 +116,9 @@ def strip_masks(p: Pree) -> tuple[list[int], list[list[int]], list[list[int]]]:
     ``close[a][b]`` holds the diagonals d whose ``step[a][d]`` holds b,
     so that a strip on d closes on the top letters a b.  These three
     tables are the only encoding of the relation; the strip search, its
-    witness, the geodesic step and the pair recognizer all read them.
+    witness, the geodesic step and the pair recognizer all read them, and
+    ``irreducible_form`` and ``is_geodesic_word`` read ``close`` and the
+    geodesic step's advance dict.
     """
 
     def build():
@@ -262,19 +268,19 @@ def irreducible_form(p: Pree, w: Word) -> Word:
     """A strongly irreducible word for ``w``'s element, in one left-to-right
     pass and without a trace; ``strongly_reduce`` finds the leftmost strips.
 
-    The letters sit on a stack, and each carries ``geodesic_step``'s mask:
-    the diagonals of the strips, from all starts at once, whose next top
-    letter it is.  So the stack never holds a defined pair or a strip.  A
-    letter that contracts with the top replaces it.  A letter whose pair
-    with the top closes a strip walks the masks back to the latest start of
-    such a strip; ``_witness`` rewrites the letters from there, with the
+    The letters sit on a stack, and each carries ``geodesic_step``'s mask,
+    read from its advance dict: the diagonals of the strips, from all
+    starts at once, whose next top letter it is.  So the stack never holds
+    a defined pair or a strip.  A letter that contracts with the top
+    replaces it.  A letter whose pair with the top closes a strip walks the
+    masks back to the latest start of such a strip; ``_witness`` rewrites the letters from there, with the
     masks as its columns, and the pass resumes at that start.  A strip
     costs its length, not the word's.
     """
     if len(w) == 0:
         raise PreeError("empty word")
     right, step, close = strip_masks(p)
-    table = p.table
+    table, size, advance = p.table, p.size, p.derived("geodesic_advance", dict)
     stack: list[int] = []
     masks: list[int] = []
     todo = list(reversed(w))
@@ -311,13 +317,8 @@ def irreducible_form(p: Pree, w: Word) -> Word:
             todo.extend(reversed(_witness(p, i, tuple(stack[i:]) + (y,), cols).output))
             del stack[i:], masks[i:]
             continue
-        row, nxt = step[x], right[x]
-        while mask:
-            low = mask & -mask
-            nxt |= row[low.bit_length() - 1]
-            mask ^= low
         stack.append(y)
-        masks.append(nxt)
+        masks.append(advance.get(mask * size + x) or geodesic_step(p, x, mask, y))
     return tuple(stack)
 
 
@@ -326,26 +327,39 @@ def geodesic_step(p: Pree, x: int, mask: int, y: int) -> int | None:
     closes a strip.  ``mask`` holds the diagonals of the strips from all
     earlier starts whose next top letter is ``x``; the next one holds the
     strips crossing ``x`` and those opening on it.  The union tells whether
-    a strip exists, not which is leftmost (``find_strip``)."""
+    a strip exists, not which is leftmost (``find_strip``).
+
+    That union depends on the state (``x``, ``mask``) alone, so it is
+    computed once per state into the table's advance dict, keyed by
+    ``mask * p.size + x``, which ``irreducible_form`` and
+    ``is_geodesic_word`` read directly.  Its keys are states of the
+    geodesic walk (``fsa.geodesic_acceptor``), a number the table fixes.
+    An advance is never 0: it holds the identity diagonal."""
     right, step, close = strip_masks(p)
     if p.table[x][y] != UNDEF or mask & close[x][y]:
         return None
-    row, nxt = step[x], right[x]
-    while mask:
-        low = mask & -mask
-        nxt |= row[low.bit_length() - 1]
-        mask ^= low
-    return nxt
+    advance = p.derived("geodesic_advance", dict)
+    key = mask * p.size + x
+    if key not in advance:
+        row, nxt = step[x], right[x]
+        while mask:
+            low = mask & -mask
+            nxt |= row[low.bit_length() - 1]
+            mask ^= low
+        advance[key] = nxt
+    return advance[key]
 
 
 def is_geodesic_word(p: Pree, w: Word) -> bool:
     """Irreducible, strip-free, and not the one-letter identity word: one
-    left-to-right pass of ``geodesic_step``."""
+    left-to-right pass of ``geodesic_step``, reading its advance dict."""
     if len(w) == 0 or w == (p.identity,):
         return False
+    close = strip_masks(p)[2]
+    table, size, advance = p.table, p.size, p.derived("geodesic_advance", dict)
     mask = 0
     for x, y in zip(w, w[1:]):
-        mask = geodesic_step(p, x, mask, y)
-        if mask is None:
+        if table[x][y] != UNDEF or mask & close[x][y]:
             return False
+        mask = advance.get(mask * size + x) or geodesic_step(p, x, mask, y)
     return True

@@ -256,6 +256,9 @@ GOLDEN_CASES = [
     ("zxz_geodesic_yes", ["geodesic", fixture_path("zxz"), "(1,0) (1,1) (1,1)"], 0),
     # no contraction, but the whole word is one strip
     ("zxz_geodesic_no", ["geodesic", fixture_path("zxz"), "(0,1) (1,1) (1,0)"], 1),
+    # FP2's names print with a '(' past their first letter and read back whole
+    ("fp2_solve", ["solve", fixture_path("fp2"), "a(0,1) b(1,0) a(0,-1) b(-1,0)"], 1),
+    ("fp2_geodesic", ["geodesic", fixture_path("fp2"), "a(0,1) a(1,1) b(1,0) a(1,0)"], 0),
     ("zxz_solve_identity_long", ["solve", fixture_path("zxz"), SOLVE_IDENTITY_WORD], 0),
     ("zxz_solve_strip_long", ["solve", fixture_path("zxz"), SOLVE_STRIP_WORD], 1),
     # the hexagon with sides of length 3: area 9, and none within area 8

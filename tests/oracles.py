@@ -39,9 +39,11 @@ from preekit.words import (
     StripWitness,
     TraceStep,
     Word,
+    _witness,
     find_strip,
     inverse_word,
     render_word,
+    strip_masks,
     strongly_reduce,
 )
 
@@ -269,13 +271,110 @@ def reference_strongly_reduce(p: Pree, w: Word) -> tuple[Word, ReductionTrace]:
         return w, ReductionTrace(steps=tuple(steps))
 
 
-def reference_is_geodesic_word(p: Pree, w: Word) -> bool:
+def reference_strip_search_is_geodesic(p: Pree, w: Word) -> bool:
     """Irreducible, strip-free, and not the one-letter identity word."""
     if len(w) == 0 or w == (p.identity,):
         return False
     if any(p.table[a][b] != UNDEF for a, b in zip(w, w[1:])):
         return False
     return reference_find_strip(p, w) is None
+
+
+# irreducible_form, geodesic_step and is_geodesic_word as they were before
+# geodesic_step kept each state's advance: the bit loop runs on every letter
+
+
+def reference_irreducible_form(p: Pree, w: Word) -> Word:
+    """A strongly irreducible word for ``w``'s element, in one left-to-right
+    pass and without a trace; ``strongly_reduce`` finds the leftmost strips.
+
+    The letters sit on a stack, and each carries
+    ``reference_geodesic_step``'s mask: the diagonals of the strips, from
+    all starts at once, whose next top letter it is.  So the stack never holds a defined pair or a strip.  A
+    letter that contracts with the top replaces it.  A letter whose pair
+    with the top closes a strip walks the masks back to the latest start of
+    such a strip; ``_witness`` rewrites the letters from there, with the
+    masks as its columns, and the pass resumes at that start.  A strip
+    costs its length, not the word's.
+    """
+    if len(w) == 0:
+        raise PreeError("empty word")
+    right, step, close = strip_masks(p)
+    table = p.table
+    stack: list[int] = []
+    masks: list[int] = []
+    todo = list(reversed(w))
+    while todo:
+        y = todo.pop()
+        if not stack:
+            stack.append(y)
+            masks.append(0)
+            continue
+        x = stack[-1]
+        c = table[x][y]
+        if c != UNDEF:
+            stack.pop()
+            masks.pop()
+            todo.append(c)
+            continue
+        mask = masks[-1]
+        live = mask & close[x][y]
+        if live:
+            # masks[i + 1] is right[stack[i]] and the step of masks[i] across
+            # stack[i]; until a strip opening on stack[i] reaches live, keep
+            # the diagonals of masks[i] that do
+            i = len(stack) - 2
+            while not live & right[stack[i]]:
+                row, m, ahead, live = step[stack[i]], masks[i], live, 0
+                while m:
+                    low = m & -m
+                    if row[low.bit_length() - 1] & ahead:
+                        live |= low
+                    m ^= low
+                i -= 1
+            cols = masks[i + 1 :]
+            cols[0] = right[stack[i]]
+            todo.extend(reversed(_witness(p, i, tuple(stack[i:]) + (y,), cols).output))
+            del stack[i:], masks[i:]
+            continue
+        row, nxt = step[x], right[x]
+        while mask:
+            low = mask & -mask
+            nxt |= row[low.bit_length() - 1]
+            mask ^= low
+        stack.append(y)
+        masks.append(nxt)
+    return tuple(stack)
+
+
+def reference_geodesic_step(p: Pree, x: int, mask: int, y: int) -> int | None:
+    """The mask after ``y`` follows ``x``, or None when ``x y`` contracts or
+    closes a strip.  ``mask`` holds the diagonals of the strips from all
+    earlier starts whose next top letter is ``x``; the next one holds the
+    strips crossing ``x`` and those opening on it.  The union tells whether
+    a strip exists, not which is leftmost (``find_strip``)."""
+    right, step, close = strip_masks(p)
+    if p.table[x][y] != UNDEF or mask & close[x][y]:
+        return None
+    row, nxt = step[x], right[x]
+    while mask:
+        low = mask & -mask
+        nxt |= row[low.bit_length() - 1]
+        mask ^= low
+    return nxt
+
+
+def reference_is_geodesic_word(p: Pree, w: Word) -> bool:
+    """Irreducible, strip-free, and not the one-letter identity word: one
+    left-to-right pass of ``reference_geodesic_step``."""
+    if len(w) == 0 or w == (p.identity,):
+        return False
+    mask = 0
+    for x, y in zip(w, w[1:]):
+        mask = reference_geodesic_step(p, x, mask, y)
+        if mask is None:
+            return False
+    return True
 
 
 def nfa_accepts(m, w):

@@ -5,6 +5,7 @@ The generic half is exercised against a frontier simulation,
 predicates they are supposed to match.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -197,6 +198,27 @@ def test_acceptors_print_the_reference_machines():
         text = lambda m: fsa_to_text(m, lambda sym: render_symbol(p, sym))
         assert text(geodesic_acceptor(p)) == text(reference_geodesic_acceptor(p)), name
         assert text(combing_acceptor(p)) == text(reference_combing_acceptor(p)), name
+
+
+# (state count, first 16 hex digits of the sha256 of fsa_to_text) of the
+# geodesic and combing acceptors, pinned before geodesic_step kept one
+# advance per walk state; the export-fsa goldens pin zxz alone
+ACCEPTOR_PINS = {
+    "zxz": ((14, "a5a937e4cbcb221c"), (44, "e13edae6391935b7")),
+    "s3": ((3, "d9055831e6146ea9"), (3, "d9055831e6146ea9")),
+    "FP2": ((26, "97585848d6426dc2"), (98, "ef21f7df133980da")),
+}
+
+
+def test_acceptors_match_their_pinned_machines():
+    zxz = load_fixture("zxz")
+    tables = {"zxz": zxz, "s3": load_fixture("s3"), "FP2": free_product_pree(zxz)}
+    for name, p in tables.items():
+        got = []
+        for m in (geodesic_acceptor(p), combing_acceptor(p)):
+            text = fsa_to_text(m, lambda sym: render_symbol(p, sym))
+            got.append((m.n_states, hashlib.sha256(text.encode()).hexdigest()[:16]))
+        assert tuple(got) == ACCEPTOR_PINS[name], name
 
 
 def test_combing_is_a_sublanguage_of_geodesics(zxz):

@@ -57,6 +57,7 @@ from preekit.words import (
     StripWitness,
     inverse_word,
     irreducible_form,
+    is_geodesic_word,
     parse_word,
     strongly_reduce,
 )
@@ -161,9 +162,14 @@ def test_records_are_values():
 
 
 def test_tables_are_freed_after_use():
+    """The per-table data, the geodesic step's advance dict among it,
+    lives and dies with its table."""
     p = load_fixture("zxz")
     cayley_ball(p, 2)
     abelian_obstruction(p)
+    w = parse_word(p, "(0,1) (1,1) (1,1) (1,0) (-1,-1)")
+    assert not equals_identity(p, w) and not is_geodesic_word(p, w)
+    assert is_geodesic_word(p, w[1:3]) and p.derived("geodesic_advance", dict)
     ref = weakref.ref(p)
     del p
     gc.collect()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import fixture_path, load_fixture
+from conftest import fixture_path, free_product_pree, load_fixture
 from oracles import reference_closure
 from preekit import pree
 from preekit.pree import PreeError, closure_products, dump_pree, load_pree, validate_pree
@@ -119,9 +119,13 @@ def test_dump_load_roundtrip(zxz):
 
 
 def test_validate_accepts_all_good_fixtures():
-    for name in ("zxz", "taxicab", "s3", "z6", "q8", "cycle4", "cycle5"):
+    for name in ("zxz", "taxicab", "s3", "z6", "q8", "cycle4", "cycle5", "fp2"):
         rep = validate_pree(load_fixture(name))
         assert rep.ok, (name, rep.problems)
+
+
+def test_fp2_fixture_is_the_free_product_of_two_zxz_copies():
+    assert load_fixture("fp2") == free_product_pree(load_fixture("zxz"))
 
 
 def test_validate_flags_broken_closure():

@@ -14,6 +14,10 @@ the irreducible words.  They are kept unchanged in ``oracles.py`` as
 differential oracles for the witnesses, the reduction traces, the
 geodesic test and the automata built on the masks.  The solver's
 one-pass ``irreducible_form`` is checked against the traced reducer.
+``irreducible_form`` and ``is_geodesic_word`` as they were before
+``geodesic_step`` kept one advance per walk state, running the bit loop
+on every letter, are kept too, and the advance table is checked against
+them and against the walk's states.
 """
 
 import random
@@ -33,12 +37,14 @@ from conftest import (
 from oracles import (
     reference_find_strip,
     reference_geodesic_acceptor,
+    reference_irreducible_form,
     reference_is_geodesic_word,
     reference_pair_recognizer,
+    reference_strip_search_is_geodesic,
     reference_strongly_reduce,
 )
 from preekit import words
-from preekit.fsa import geodesic_acceptor, strip_reduction_pair_recognizer
+from preekit.fsa import _explore, _geodesic_moves, geodesic_acceptor, strip_reduction_pair_recognizer
 from preekit.group import equals_identity
 from preekit.words import (
     find_strip,
@@ -73,7 +79,7 @@ def test_traces_and_geodesic_verdicts_match_the_reference(name, p, monkeypatch):
     long = random_words(p, 5, 10, 256)
     long += [strongly_reduce(p, w)[0] for w in long]
     for w in ws + long:
-        assert is_geodesic_word(p, w) == reference_is_geodesic_word(p, w), (name, w)
+        assert is_geodesic_word(p, w) == reference_strip_search_is_geodesic(p, w), (name, w)
     got = [strongly_reduce(p, w) for w in ws]
     monkeypatch.setattr(words, "find_strip", reference_find_strip)
     assert got == [strongly_reduce(p, w) for w in ws], name
@@ -157,3 +163,64 @@ def test_every_strip_column_holds_the_identity_diagonal():
         one = 1 << p.identity
         assert all(mask & one for mask in right), name
         assert all(mask & one for row in step for mask in row if mask), name
+
+
+_ADVANCE_TABLES = solver_and_cycle_tables() + [
+    ("FP2", free_product_pree(load_fixture("zxz"))),
+    ("A2", a2_fano_pree()),
+    ("D_7/3", dihedral_subtable(7, 3, keep=0.2)),
+]
+
+
+def _advance(p):
+    return p.derived("geodesic_advance", dict)
+
+
+def _walk_keys(p):
+    """The advance keys of the states of the unminimised geodesic walk."""
+    order, _ = _explore(None, lambda state: _geodesic_moves(p, state))
+    return {mask * p.size + x for x, mask in order[1:]}
+
+
+@pytest.mark.parametrize("name,p", _ADVANCE_TABLES, ids=[name for name, _ in _ADVANCE_TABLES])
+def test_advance_table_matches_the_bit_loops(name, p):
+    """The same forms and verdicts as the bit loops, on a fresh table and
+    again on the warm one; every key is a walk state, every value the
+    union of ``right`` and the ``step`` rows of the mask, and the second
+    pass adds no key."""
+    advance = _advance(p)
+    assert not advance, name
+    ws = random_words(p, 9, 100, 60)
+    for warm in (False, True):
+        for w in ws:
+            form = irreducible_form(p, w)
+            assert form == reference_irreducible_form(p, w), (name, w, warm)
+            for u in (w, form):
+                assert is_geodesic_word(p, u) == reference_is_geodesic_word(p, u), (name, u, warm)
+        if not warm:
+            keys = set(advance)
+    assert set(advance) == keys, name
+    assert keys <= _walk_keys(p), name
+    right, step, _ = strip_masks(p)
+    for key, nxt in advance.items():
+        mask, x = divmod(key, p.size)
+        union = right[x]
+        for d in p.elements():
+            if mask >> d & 1:
+                union |= step[x][d]
+        assert nxt == union, (name, x, mask)
+
+
+@pytest.mark.parametrize("name,states", [("zxz", 36), ("FP2", 216)])
+def test_geodesic_acceptor_fills_the_advance_table(name, states):
+    """Building the acceptor walks every state once, so the table then
+    holds one key per state of the walk, and no query adds another."""
+    p = load_fixture("zxz")
+    if name == "FP2":
+        p = free_product_pree(p)
+    geodesic_acceptor(p)
+    assert set(_advance(p)) == _walk_keys(p) and len(_advance(p)) == states
+    for w in random_words(p, 10, 50, 60):
+        equals_identity(p, w)
+        is_geodesic_word(p, w)
+    assert len(_advance(p)) == states

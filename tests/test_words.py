@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from conftest import all_words
+from conftest import _run, a2_fano_pree, all_words, free_product_pree, random_words, solver_and_cycle_tables
 from oracles import reference_reduce_once, reference_strip_reduce_once, table_fold, zxz_distance, zxz_vector
-from preekit.pree import PreeError
+from preekit.pree import PreeError, dump_pree
 from preekit.words import (
     ReductionTrace,
     StripWitness,
@@ -27,9 +27,22 @@ def _random_word(rng, p, length):
 
 
 def test_parse_render_roundtrip(zxz, s3):
+    """Both ways round, on random words too: names with a '(' past their
+    first letter, such as FP2's ``a(0,1)``, read back as one letter."""
     for p, text in ((zxz, "(1,0) (0,1) (-1,-1)"), (s3, "r s r2")):
         w = parse_word(p, text)
         assert render_word(p, w) == text
+    tables = solver_and_cycle_tables() + [("FP2", free_product_pree(zxz)), ("A2", a2_fano_pree())]
+    for name, p in tables:
+        for w in random_words(p, 11, 40, 20):
+            assert parse_word(p, render_word(p, w)) == w, (name, w)
+
+
+def test_cli_solves_a_word_of_fp2_names(tmp_path, zxz):
+    path = tmp_path / "fp2.pree"
+    path.write_text(dump_pree(free_product_pree(zxz)))
+    assert _run(["solve", str(path), "a(0,1) b(1,0) a(0,-1) b(-1,0)"])[0::2] == (1, "")
+    assert _run(["solve", str(path), "a(0,1) b(1,0) b(-1,0) a(0,-1)"])[0::2] == (0, "")
 
 
 def test_parse_accepts_abutted_parens(zxz):

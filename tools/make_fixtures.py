@@ -9,7 +9,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
-from preekit.pree import check_axiom, load_pree, validate_pree  # noqa: E402
+from preekit.pree import UNDEF, check_axiom, load_pree, validate_pree  # noqa: E402
 from preekit.group import cayley_ball  # noqa: E402
 
 OUT = os.path.join(HERE, os.pardir, "fixtures")
@@ -74,6 +74,23 @@ def make_zxz() -> str:
         nm[(0, 0)],
         invs,
         prods,
+    )
+
+
+def make_fp2(zxz) -> str:
+    # letter names carry their factor, a or b, before the zxz name
+    e, letters = zxz.identity, zxz.nonidentity()
+    nm = lambda f, a: f + zxz.name(a)
+    return lines_to_text(
+        "free product of two zxz copies, a and b, sharing only the identity; no product joins the copies",
+        [zxz.name(e)] + [nm(f, a) for f in "ab" for a in letters],
+        zxz.name(e),
+        [(nm(f, a), nm(f, zxz.inv[a])) for f in "ab" for a in letters if a < zxz.inv[a]],
+        [
+            (nm(f, a), nm(f, b), nm(f, c))
+            for f in "ab" for a in letters for b in letters
+            if (c := zxz.table[a][b]) not in (UNDEF, e)
+        ],
     )
 
 
@@ -197,6 +214,13 @@ def main() -> None:
     assert p.solver_problem is None
     assert cayley_ball(p, 1).size == 7
     assert cayley_ball(p, 2).size == 19
+
+    p = load("fp2", make_fp2(p))
+    assert validate_pree(p).ok
+    assert check_axiom(p, 4) is None and check_axiom(p, 5) is None
+    assert p.solver_problem is None
+    # the identity, each copy's spheres of radius 1 and 2, and a letter of each copy in either order
+    assert cayley_ball(p, 2).size == 1 + 2 * 6 + 2 * 12 + 2 * 6 * 6
 
     p = load("taxicab", make_taxicab())
     assert p.solver_problem is None
