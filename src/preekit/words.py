@@ -273,9 +273,9 @@ def irreducible_form(p: Pree, w: Word) -> Word:
     starts at once, whose next top letter it is.  So the stack never holds
     a defined pair or a strip.  A letter that contracts with the top
     replaces it.  A letter whose pair with the top closes a strip walks the
-    masks back to the latest start of such a strip; ``_witness`` rewrites the letters from there, with the
-    masks as its columns, and the pass resumes at that start.  A strip
-    costs its length, not the word's.
+    masks back to the latest start of such a strip; ``_witness`` rewrites
+    the letters from there, with the masks as its columns, and the pass
+    resumes at that start.  A strip costs its length, not the word's.
     """
     if len(w) == 0:
         raise PreeError("empty word")

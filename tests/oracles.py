@@ -290,8 +290,8 @@ def reference_irreducible_form(p: Pree, w: Word) -> Word:
 
     The letters sit on a stack, and each carries
     ``reference_geodesic_step``'s mask: the diagonals of the strips, from
-    all starts at once, whose next top letter it is.  So the stack never holds a defined pair or a strip.  A
-    letter that contracts with the top replaces it.  A letter whose pair
+    all starts at once, whose next top letter it is.  So the stack never
+    holds a defined pair or a strip.  A letter that contracts with the top replaces it.  A letter whose pair
     with the top closes a strip walks the masks back to the latest start of
     such a strip; ``_witness`` rewrites the letters from there, with the
     masks as its columns, and the pass resumes at that start.  A strip

@@ -46,6 +46,7 @@ from oracles import (
 from preekit import words
 from preekit.fsa import _explore, _geodesic_moves, geodesic_acceptor, strip_reduction_pair_recognizer
 from preekit.group import equals_identity
+from preekit.pree import UNDEF
 from preekit.words import (
     find_strip,
     inverse_word,
@@ -199,6 +200,8 @@ def test_advance_table_matches_the_bit_loops(name, p):
                 assert is_geodesic_word(p, u) == reference_is_geodesic_word(p, u), (name, u, warm)
         if not warm:
             keys = set(advance)
+    # a full table reduces every word to one letter and never steps
+    assert bool(keys) == any(UNDEF in row for row in p.table), name
     assert set(advance) == keys, name
     assert keys <= _walk_keys(p), name
     right, step, _ = strip_masks(p)
