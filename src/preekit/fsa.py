@@ -15,7 +15,7 @@ the shorter tape and renders as "$".
 
 from __future__ import annotations
 
-from .pree import TYPE_CHECKING, UNDEF, Pree, Record
+from .pree import TYPE_CHECKING, UNDEF, Pree
 from .words import geodesic_step, strip_masks
 # equals_identity is not called here; it stays importable as an fsa attribute
 from .group import (  # noqa: F401
@@ -334,29 +334,17 @@ def geodesic_acceptor(p: Pree) -> FiniteAutomaton:
     return FiniteAutomaton(len(order), p.elements(), trans, [0], range(len(order))).minimize()
 
 
-class CombingTable(Record):
-    """Per-triple predicate driving the combing language.
+def build_combing_table(p: Pree) -> frozenset:
+    """The triples (x, y, z) banned at odd block starts.
 
-    forbidden holds the triples (x, y, z) banned at odd block starts.
-    sprime[x, y] is the set of third letters c completing some defined
-    abc with bc undefined and abc equal to xy in the group.
-    """
-
-    __slots__ = _fields = ("sprime", "forbidden")
-
-    def __init__(self, sprime: dict[tuple[int, int], frozenset], forbidden: frozenset):
-        self.sprime, self.forbidden = sprime, forbidden
-
-
-def build_combing_table(p: Pree) -> CombingTable:
-    """Tabulate the banned triples.
-
-    abc equals xy in the group exactly when both name one element of the
-    radius-3 ball, so each a b c with bc undefined files c under its
-    element, and sprime(x, y) is what is filed under the element of x y:
-    O(|P|^3) lookups, and no solver call once the ball is built.  A triple
-    (x, y, z) is banned when some c in sprime(x, y) has a defined product
-    c*z.  Refuses unless the word solver may run on ``p``.
+    sprime(x, y) is the set of third letters c completing some abc with bc
+    undefined and abc equal to xy in the group.  abc equals xy exactly when
+    both name one element of the radius-3 ball, so each a b c with bc
+    undefined files c under its element, and sprime(x, y) is what is filed
+    under the element of x y: O(|P|^3) lookups, and no solver call once the
+    ball is built.  A triple (x, y, z) is banned when some c in sprime(x, y)
+    has a defined product c*z.  Refuses unless the word solver may run on
+    ``p``.
     """
     step = cayley_ball(p, 3).step
     letters = p.nonidentity()
@@ -368,14 +356,11 @@ def build_combing_table(p: Pree) -> CombingTable:
             for c in letters:
                 if table[b][c] == UNDEF:
                     filed.setdefault(step[ab][c], set()).add(c)
-    sprime = {
-        (x, y): frozenset(filed.get(step[step[0][x]][y], ())) for x in letters for y in letters
-    }
-    forbidden = frozenset(
+    sprime = {(x, y): filed.get(step[step[0][x]][y], ()) for x in letters for y in letters}
+    return frozenset(
         (x, y, z) for (x, y), cs in sprime.items() for z in letters
         if any(table[c][z] != UNDEF for c in cs)
     )
-    return CombingTable(sprime=sprime, forbidden=forbidden)
 
 
 def combing_acceptor(p: Pree) -> FiniteAutomaton:
@@ -386,7 +371,7 @@ def combing_acceptor(p: Pree) -> FiniteAutomaton:
     the letters of the open window: a third letter closes the window,
     unless the three are banned, and opens the next one.
     """
-    forbidden = build_combing_table(p).forbidden
+    forbidden = build_combing_table(p)
 
     def moves(state):
         geo, window = state

@@ -4,7 +4,8 @@ Two moves preserve the represented group element while shortening a
 word.  A simple reduction contracts an adjacent pair with a defined
 product.  A strip reduction replaces a length-n subword (n >= 3) by a
 length-(n-1) word through a zigzag of triangles whose interior state is
-a sequence of diagonal letters; its data is a :class:`StripWitness`.
+a sequence of diagonal letters; its data is a :class:`StripWitness`,
+read forward from the strip's columns once ``_pull`` has pulled each back.
 A word is strongly irreducible when neither move applies, and it is
 geodesic exactly when it is strongly irreducible and not the one-letter
 identity word.  Whether a strip exists is read in one pass: the walk's
@@ -95,6 +96,8 @@ class StripWitness(FrozenRecord):
         n = len(a)
         if n < 3 or len(d) != n - 2 or len(c) != n - 1:
             raise PreeError("malformed strip witness")
+        if not all(0 <= x < p.size for x in a + d):
+            raise PreeError("strip witness: letter or diagonal outside the table")
         if p.product(a[0], d[0]) != c[0]:
             raise PreeError("strip witness: first triangle fails")
         for j in range(1, n - 2):
@@ -138,31 +141,31 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _witness(p: Pree, start: int, top: Word, cols: list[int]) -> StripWitness:
+def _pull(row: list[int], col: int, ahead: int) -> int:
+    """The diagonals of ``col`` whose ``row`` entry meets ``ahead``: the one
+    backward pass over strip columns, a column pulled back across a letter."""
+    keep = 0
+    while col:
+        low = col & -col
+        if row[low.bit_length() - 1] & ahead:
+            keep |= low
+        col ^= low
+    return keep
+
+
+def _witness(p: Pree, start: int, top: Word, live: list[int]) -> StripWitness:
     """The diagonal-minimal witness of a strip covering ``top``.
 
-    ``cols[0]`` holds the diagonals d_1 on which the first letter opens a
-    strip, and ``cols[j]`` at least those d_{j+1} reachable from them.  A
-    backward pass keeps the live ones, those from which the strip still
-    closes; walking forward, the lowest live successor is always taken, so
-    diagonals a column holds beyond the reachable ones never enter.
+    ``live[j]`` holds the diagonals d_{j+1} from which the strip still
+    closes, ``live[0]`` only those the first letter opens on: its caller's
+    columns, each pulled back once with ``_pull``.  Walking forward, the
+    lowest live successor is always taken.
     """
-    _, step, close = strip_masks(p)
+    step = strip_masks(p)[1]
     table, inv = p.table, p.inv
-    n = len(top)
-    live = [0] * (n - 2)
-    live[-1] = cols[-1] & close[top[-2]][top[-1]]
-    for j in range(n - 4, -1, -1):
-        row, nxt, col, keep = step[top[j + 1]], live[j + 1], cols[j], 0
-        while col:
-            low = col & -col
-            if row[low.bit_length() - 1] & nxt:
-                keep |= low
-            col ^= low
-        live[j] = keep
     d = _lowest(live[0])
     diagonals, output = [d], [table[top[0]][d]]
-    for j in range(1, n - 2):
+    for j in range(1, len(top) - 2):
         g = table[inv[top[j]]][d]
         d = _lowest(step[top[j]][d] & live[j])
         diagonals.append(d)
@@ -177,9 +180,9 @@ def find_strip(p: Pree, w: Word) -> StripWitness | None:
 
     From each start one int per column holds the diagonals reachable so
     far (``strip_masks``): the next column is the OR of ``step`` over the
-    set bits of the current one, and the shortest strip ends at the
-    first column that meets ``close`` of the next two letters.  The
-    kept columns then give the diagonal-minimal witness.
+    set bits of the current one.  The shortest strip ends at the first
+    column that meets ``close`` of the next two letters, and only then are
+    the columns pulled back, in place, to the witness's live ones.
     """
     right, step, close = strip_masks(p)
     m = len(w)
@@ -191,6 +194,9 @@ def find_strip(p: Pree, w: Word) -> StripWitness | None:
         for n in range(3, m - start + 1):
             a = w[start + n - 2]
             if cur & close[a][w[start + n - 1]]:
+                cols[-1] = cur & close[a][w[start + n - 1]]
+                for j in range(n - 4, -1, -1):
+                    cols[j] = _pull(step[w[start + j + 1]], cols[j], cols[j + 1])
                 return _witness(p, start, w[start : start + n], cols)
             if start + n == m:
                 break
@@ -224,6 +230,8 @@ def apply_trace(p: Pree, w: Word, trace: ReductionTrace) -> Word:
     """Replay a trace; each step recomputes its rewrite from the table."""
     for step in trace.steps:
         i = step.position
+        if not 0 <= i < len(w) - 1:
+            raise PreeError("trace replay: position %r outside the word" % (i,))
         if step.kind == "simple":
             c = p.product(w[i], w[i + 1])
             if c is None:
@@ -272,10 +280,11 @@ def irreducible_form(p: Pree, w: Word) -> Word:
     read from its advance dict: the diagonals of the strips, from all
     starts at once, whose next top letter it is.  So the stack never holds
     a defined pair or a strip.  A letter that contracts with the top
-    replaces it.  A letter whose pair with the top closes a strip walks the
-    masks back to the latest start of such a strip; ``_witness`` rewrites
-    the letters from there, with the masks as its columns, and the pass
-    resumes at that start.  A strip costs its length, not the word's.
+    replaces it.  A letter whose pair with the top closes a strip pulls the
+    masks back to the latest start of such a strip, each once; ``_witness``
+    rewrites the letters from there, with the pulled-back masks as its live
+    columns, and the pass resumes at that start.  A strip costs its length,
+    not the word's.
     """
     if len(w) == 0:
         raise PreeError("empty word")
@@ -301,20 +310,16 @@ def irreducible_form(p: Pree, w: Word) -> Word:
         live = mask & close[x][y]
         if live:
             # masks[i + 1] is right[stack[i]] and the step of masks[i] across
-            # stack[i]; until a strip opening on stack[i] reaches live, keep
-            # the diagonals of masks[i] that do
+            # stack[i]; until a strip opening on stack[i] reaches the live
+            # diagonals of masks[i + 1], pull masks[i] back onto them in place
+            masks[-1] = live
             i = len(stack) - 2
-            while not live & right[stack[i]]:
-                row, m, ahead, live = step[stack[i]], masks[i], live, 0
-                while m:
-                    low = m & -m
-                    if row[low.bit_length() - 1] & ahead:
-                        live |= low
-                    m ^= low
+            while not masks[i + 1] & right[stack[i]]:
+                masks[i] = _pull(step[stack[i]], masks[i], masks[i + 1])
                 i -= 1
-            cols = masks[i + 1 :]
-            cols[0] = right[stack[i]]
-            todo.extend(reversed(_witness(p, i, tuple(stack[i:]) + (y,), cols).output))
+            live = masks[i + 1 :]
+            live[0] &= right[stack[i]]
+            todo.extend(reversed(_witness(p, i, tuple(stack[i:]) + (y,), live).output))
             del stack[i:], masks[i:]
             continue
         stack.append(y)

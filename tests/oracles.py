@@ -39,7 +39,6 @@ from preekit.words import (
     StripWitness,
     TraceStep,
     Word,
-    _witness,
     find_strip,
     inverse_word,
     render_word,
@@ -280,8 +279,45 @@ def reference_strip_search_is_geodesic(p: Pree, w: Word) -> bool:
     return reference_find_strip(p, w) is None
 
 
+def reference_witness(p: Pree, start: int, top: Word, cols: list[int]) -> StripWitness:
+    """The diagonal-minimal witness of a strip covering ``top``, as it was
+    before its callers pulled its columns back.
+
+    ``cols[0]`` holds the diagonals d_1 on which the first letter opens a
+    strip, and ``cols[j]`` at least those d_{j+1} reachable from them.  A
+    backward pass keeps the live ones, those from which the strip still
+    closes; walking forward, the lowest live successor is always taken, so
+    diagonals a column holds beyond the reachable ones never enter.
+    """
+    _, step, close = strip_masks(p)
+    table, inv = p.table, p.inv
+    lowest = lambda mask: (mask & -mask).bit_length() - 1
+    n = len(top)
+    live = [0] * (n - 2)
+    live[-1] = cols[-1] & close[top[-2]][top[-1]]
+    for j in range(n - 4, -1, -1):
+        row, nxt, col, keep = step[top[j + 1]], live[j + 1], cols[j], 0
+        while col:
+            low = col & -col
+            if row[low.bit_length() - 1] & nxt:
+                keep |= low
+            col ^= low
+        live[j] = keep
+    d = lowest(live[0])
+    diagonals, output = [d], [table[top[0]][d]]
+    for j in range(1, n - 2):
+        g = table[inv[top[j]]][d]
+        d = lowest(step[top[j]][d] & live[j])
+        diagonals.append(d)
+        output.append(table[inv[g]][d])
+    g = table[inv[top[-2]]][d]
+    output.append(table[inv[g]][top[-1]])
+    return StripWitness(start=start, top=top, diagonals=tuple(diagonals), output=tuple(output))
+
+
 # irreducible_form, geodesic_step and is_geodesic_word as they were before
-# geodesic_step kept each state's advance: the bit loop runs on every letter
+# geodesic_step kept each state's advance: the bit loop runs on every letter,
+# and the strip's witness pulls the walked-back columns again
 
 
 def reference_irreducible_form(p: Pree, w: Word) -> Word:
@@ -293,9 +329,9 @@ def reference_irreducible_form(p: Pree, w: Word) -> Word:
     all starts at once, whose next top letter it is.  So the stack never
     holds a defined pair or a strip.  A letter that contracts with the top replaces it.  A letter whose pair
     with the top closes a strip walks the masks back to the latest start of
-    such a strip; ``_witness`` rewrites the letters from there, with the
-    masks as its columns, and the pass resumes at that start.  A strip
-    costs its length, not the word's.
+    such a strip; ``reference_witness`` rewrites the letters from there,
+    with the masks as its columns, and the pass resumes at that start.  A
+    strip costs its length, not the word's.
     """
     if len(w) == 0:
         raise PreeError("empty word")
@@ -334,7 +370,7 @@ def reference_irreducible_form(p: Pree, w: Word) -> Word:
                 i -= 1
             cols = masks[i + 1 :]
             cols[0] = right[stack[i]]
-            todo.extend(reversed(_witness(p, i, tuple(stack[i:]) + (y,), cols).output))
+            todo.extend(reversed(reference_witness(p, i, tuple(stack[i:]) + (y,), cols).output))
             del stack[i:], masks[i:]
             continue
         row, nxt = step[x], right[x]
@@ -470,7 +506,7 @@ def reference_geodesic_acceptor(p: Pree) -> FiniteAutomaton:
 def reference_combing_acceptor(p):
     """The combing acceptor as a window automaton run in product with
     ``reference_geodesic_acceptor``."""
-    table = build_combing_table(p)
+    forbidden = build_combing_table(p)
     size = p.size
     # state 0: even number of letters consumed, no pending window
     # 1+x: one pending letter x (odd position); 1+size+(x*size+y): two pending
@@ -483,7 +519,7 @@ def reference_combing_acceptor(p):
         for y in p.elements():
             trans[(pend1(x), y)] = (pend2(x, y),)
             for z in p.elements():
-                if (x, y, z) not in table.forbidden:
+                if (x, y, z) not in forbidden:
                     trans[(pend2(x, y), z)] = (pend1(z),)
     windows = FiniteAutomaton(
         n_states, p.elements(), trans, [0], range(n_states)

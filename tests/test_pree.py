@@ -1,5 +1,7 @@
 """Table loading, closure completion, and the structural validator."""
 
+import importlib.util
+import os
 import random
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from conftest import fixture_path, free_product_pree, load_fixture
 from oracles import reference_closure
 from preekit import pree
-from preekit.pree import PreeError, closure_products, dump_pree, load_pree, validate_pree
+from preekit.pree import UNDEF, PreeError, closure_products, dump_pree, load_pree, validate_pree
 
 MINI = """
 elements: 1 a ia
@@ -124,8 +126,27 @@ def test_validate_accepts_all_good_fixtures():
         assert rep.ok, (name, rep.problems)
 
 
+def _by_name(p):
+    """Elements, inverse pairs and products by name, the identity named 1."""
+    name = lambda a: "1" if a == p.identity else p.names[a]
+    elems = p.elements()
+    products = {(name(a), name(b), name(c)) for a in elems for b in elems if (c := p.table[a][b]) != UNDEF}
+    return {name(a) for a in elems}, {(name(a), name(p.inv[a])) for a in elems}, products
+
+
 def test_fp2_fixture_is_the_free_product_of_two_zxz_copies():
-    assert load_fixture("fp2") == free_product_pree(load_fixture("zxz"))
+    """The fixture is the tests' free product, and the benchmark's own
+    FP2 text is the same table up to element order and the identity's
+    name (``1`` there, ``(0,0)`` here)."""
+    fp2 = load_fixture("fp2")
+    assert fp2 == free_product_pree(load_fixture("zxz"))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("bench_tables", os.path.join(root, "perfbench", "tables.py"))
+    tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tables)
+    bench = load_pree(tables.free_product_text())
+    assert bench.names[bench.identity] == "1" and fp2.names[fp2.identity] == "(0,0)"
+    assert _by_name(bench) == _by_name(fp2)
 
 
 def test_validate_flags_broken_closure():

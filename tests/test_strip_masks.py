@@ -17,7 +17,9 @@ one-pass ``irreducible_form`` is checked against the traced reducer.
 ``irreducible_form`` and ``is_geodesic_word`` as they were before
 ``geodesic_step`` kept one advance per walk state, running the bit loop
 on every letter, are kept too, and the advance table is checked against
-them and against the walk's states.
+them and against the walk's states.  The strip witness as it was before
+its callers pulled its columns back, with its own backward pass, checks
+the witnesses of ``find_strip`` and ``irreducible_form``.
 """
 
 import random
@@ -42,6 +44,7 @@ from oracles import (
     reference_pair_recognizer,
     reference_strip_search_is_geodesic,
     reference_strongly_reduce,
+    reference_witness,
 )
 from preekit import words
 from preekit.fsa import _explore, _geodesic_moves, geodesic_acceptor, strip_reduction_pair_recognizer
@@ -52,6 +55,7 @@ from preekit.words import (
     inverse_word,
     irreducible_form,
     is_geodesic_word,
+    parse_word,
     strip_masks,
     strongly_reduce,
 )
@@ -227,3 +231,61 @@ def test_geodesic_acceptor_fills_the_advance_table(name, states):
         equals_identity(p, w)
         is_geodesic_word(p, w)
     assert len(_advance(p)) == states
+
+
+def _forward_columns(p, top):
+    """The diagonals reachable in each column of a strip on ``top``,
+    stepped forward from ``right`` and never pulled back."""
+    right, step, _ = strip_masks(p)
+    cols = [right[top[0]]]
+    for a in top[1:-2]:
+        cols.append(0)
+        for d in p.elements():
+            if cols[-2] >> d & 1:
+                cols[-1] |= step[a][d]
+    return cols
+
+
+@pytest.mark.parametrize("name,p", _ADVANCE_TABLES, ids=[name for name, _ in _ADVANCE_TABLES])
+def test_pulled_back_witnesses_match_the_reference_witness(name, p):
+    """Every witness ``find_strip`` reads from its pulled-back columns is
+    the one the reference reads from the forward columns, on random and
+    strip-block words; the one-pass form, which hands its walked-back
+    masks to the witness, equals the reference's on the same words."""
+    ws = random_words(p, 12, 100, 40) + _strip_block_words(p, 13, 20)
+    found = 0
+    for w in ws:
+        wit = find_strip(p, w)
+        if wit is not None:
+            found += 1
+            assert wit == reference_witness(p, wit.start, wit.top, _forward_columns(p, wit.top)), (name, w)
+        assert irreducible_form(p, w) == reference_irreducible_form(p, w), (name, w)
+    assert found, name
+
+
+def _count_pulls(monkeypatch):
+    """Count ``_pull`` calls, and collect the tops ``_witness`` is given."""
+    pulls, tops = [], []
+    pull, witness = words._pull, words._witness
+    monkeypatch.setattr(words, "_pull", lambda *args: pulls.append(1) or pull(*args))
+    monkeypatch.setattr(words, "_witness", lambda p, start, top, live: tops.append(top) or witness(p, start, top, live))
+    return pulls, tops
+
+
+def test_a_closing_strip_pulls_each_column_back_once(zxz, monkeypatch):
+    """A strip of n letters makes n - 3 pulls in ``find_strip`` and in
+    ``irreducible_form``: the closing column is cut by ``close`` and the
+    first by ``right``, and every column between is pulled once."""
+    pulls, tops = _count_pulls(monkeypatch)
+    for k in range(1, 9):
+        w = parse_word(zxz, "(0,1) " + "(1,1) " * k + "(1,0)")
+        for solve in (find_strip, irreducible_form):
+            del pulls[:], tops[:]
+            solve(zxz, w)
+            assert tops == [w] and len(pulls) == len(w) - 3, (solve.__name__, k)
+    for name, p in _ADVANCE_TABLES:
+        for w in random_words(p, 14, 40, 60) + _strip_block_words(p, 15, 10):
+            for solve in (find_strip, irreducible_form):
+                del pulls[:], tops[:]
+                solve(p, w)
+                assert len(pulls) == sum(len(top) - 3 for top in tops), (name, solve.__name__, w)

@@ -11,6 +11,7 @@ from preekit.pree import PreeError, dump_pree
 from preekit.words import (
     ReductionTrace,
     StripWitness,
+    TraceStep,
     apply_trace,
     find_strip,
     inverse_word,
@@ -99,6 +100,25 @@ def test_strip_witness_validate_rejects_tampering(zxz):
                        output=(wrong,) + wit.output[1:])
     with pytest.raises(PreeError):
         bad.validate(zxz)
+
+
+def test_strip_witness_validate_rejects_a_diagonal_outside_the_table(zxz):
+    """A negative diagonal would alias an id from the end of the table:
+    here d - size names d, and the triangles check out."""
+    wit = find_strip(zxz, parse_word(zxz, "(0,1) (1,1) (1,0)"))
+    for d in (wit.diagonals[0] - zxz.size, zxz.size):
+        bad = StripWitness(start=wit.start, top=wit.top, diagonals=(d,), output=wit.output)
+        with pytest.raises(PreeError, match="outside the table"):
+            bad.validate(zxz)
+
+
+@pytest.mark.parametrize("position", [-1, 1, 2])
+def test_trace_replay_rejects_a_position_outside_the_word(zxz, position):
+    """Position -1 would contract the last letter with the first and
+    replay to a longer word; 1 and 2 would index past the end."""
+    w = parse_word(zxz, "(1,0) (0,1)")
+    with pytest.raises(PreeError, match="outside the word"):
+        apply_trace(zxz, w, ReductionTrace((TraceStep(kind="simple", position=position),)))
 
 
 def test_strip_prefers_leftmost_start(zxz):
